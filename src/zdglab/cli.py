@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .errors import ZdglabError
@@ -136,7 +136,7 @@ def cmd_check(args) -> int:
     complete, nverts = analysis.gi.is_complete()
     case = _classification_case(v)
     if args.format == "json":
-        obj = v.to_dict()
+        obj = asdict(v)
         obj["ideal_generators"] = list(ideal.generators)
         obj["classification_case"] = case
         obj["gi_complete_order"] = nverts if complete else None
@@ -185,14 +185,13 @@ def cmd_verify(args) -> int:
         with open(args.catalogue, "r", encoding="utf-8") as fh:
             entries = parse_catalogue_text(fh.read())
         description = args.catalogue
-    jobs = 1 if args.seedless else (args.jobs if args.jobs > 0 else (os.cpu_count() or 1))
     progress = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     report = run_catalogue(
         entries,
         description=description,
         max_order=args.max_order,
         ideal_cap=args.ideal_cap,
-        jobs=jobs,
+        jobs=1 if args.seedless else args.jobs,
         inject_fault=args.inject_fault,
         progress=progress,
     )

@@ -22,7 +22,7 @@ class InvalidElementError(ZdglabError, ValueError):
 
 
 class CapExceededError(ZdglabError, ValueError):
-    """A configured size cap (ring order, ideal enumeration, isomorphism search) was exceeded."""
+    """A configured size cap (ring order, ideal enumeration) was exceeded."""
 
 
 class ImproperIdealError(ZdglabError, ValueError):

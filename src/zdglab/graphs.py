@@ -6,50 +6,104 @@ neighbor (the edge lies in no triangle); they are *similar* when they are
 non-adjacent with identical neighborhoods. A graph is *complemented* when
 every vertex has an orthogonal partner, and *uniquely complemented* when
 additionally all orthogonal partners of a vertex are pairwise similar.
+
+A graph is its boolean adjacency matrix over the ascending vertex keys, and
+every predicate is read off that matrix: an edge is orthogonal when its
+entry of A @ A (the common-neighbor count) is zero, which is triangle
+detection by matrix product (Itai & Rodeh, SIAM J. Comput. 7(4), 1978). In
+a loop-free graph equal neighborhoods already force non-adjacency, so
+similar vertices are exactly those with equal adjacency rows.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ImproperIdealError, UnknownVertexError
 from .ideals import Ideal
-from .rings import FiniteRing, zero_divisors
+from .rings import FiniteRing
 
 
 def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def row_classes(rows: np.ndarray) -> np.ndarray:
+    """A class label per row of a 2-D boolean array; rows share a label
+    exactly when they are equal."""
+    rows = np.ascontiguousarray(rows, dtype=bool)
+    if rows.shape[1] == 0:
+        return np.zeros(rows.shape[0], dtype=np.intp)
+    keys = rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
+    return np.unique(keys, return_inverse=True)[1]
+
+
+def first_class_split(sel: np.ndarray, classes: np.ndarray) -> tuple[int, int] | None:
+    """The first (row, column), in row-major order, at which a row of the
+    boolean matrix ``sel`` selects a column whose class differs from that of
+    the row's first selected column; None when every row stays in one class."""
+    if sel.size == 0:
+        return None
+    split = sel & (classes[None, :] != classes[sel.argmax(axis=1)][:, None])
+    if not split.any():
+        return None
+    return divmod(int(split.argmax()), sel.shape[1])
+
+
 class SimpleGraph:
     """Undirected loop-free graph on integer vertex keys with display labels.
 
     Vertices are kept in ascending key order, which makes every exported
-    artifact byte-deterministic. Immutable after construction.
+    artifact byte-deterministic; ``adj`` is the read-only boolean adjacency
+    matrix in that order. Immutable after construction.
     """
 
     def __init__(self, vertices: Iterable[int], labels: Mapping[int, str], edges, name: str = ""):
         vs = sorted(int(v) for v in vertices)
         if len(vs) != len(set(vs)):
             raise ValueError("duplicate vertex keys")
-        self.name = str(name)
-        self.vertices = tuple(vs)
-        self.labels = {v: str(labels[v]) for v in vs}
-        nbrs: dict[int, set[int]] = {v: set() for v in vs}
+        pos = {v: k for k, v in enumerate(vs)}
+        adj = np.zeros((len(vs), len(vs)), dtype=bool)
         for a, b in edges:
             a, b = int(a), int(b)
             if a == b:
                 raise ValueError("self-loops are not allowed")
-            if a not in nbrs or b not in nbrs:
+            if a not in pos or b not in pos:
                 raise UnknownVertexError(f"edge ({a},{b}) uses an unknown vertex")
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        self._nbrs = {v: frozenset(s) for v, s in nbrs.items()}
-        self._complements: dict[int, tuple[int, ...]] | None = None
+            adj[pos[a], pos[b]] = adj[pos[b], pos[a]] = True
+        self._init(vs, labels, adj, name)
+
+    @classmethod
+    def _from_matrix(
+        cls, vertices: Sequence[int], labels: Mapping[int, str], adj: np.ndarray, name: str
+    ) -> "SimpleGraph":
+        """Graph on ascending ``vertices`` from a symmetric loop-free matrix."""
+        g = cls.__new__(cls)
+        g._init(vertices, labels, adj, name)
+        return g
+
+    def _init(self, vs: Sequence[int], labels: Mapping[int, str], adj: np.ndarray, name: str) -> None:
+        self.name = str(name)
+        self.vertices = tuple(vs)
+        self.labels = {v: str(labels[v]) for v in vs}
+        self._pos = {v: k for k, v in enumerate(vs)}
+        self.adj = np.ascontiguousarray(adj, dtype=bool)
+        self.adj.setflags(write=False)
+
+    @cached_property
+    def orth(self) -> np.ndarray:
+        """Read-only boolean matrix of orthogonal pairs: edges in no triangle.
+
+        The product runs in float32 through BLAS; common-neighbor counts
+        stay below the vertex count, far inside float32's exact range.
+        """
+        a = self.adj.astype(np.float32)
+        orth = self.adj & ((a @ a) == 0)
+        orth.setflags(write=False)
+        return orth
 
     @property
     def vertex_count(self) -> int:
@@ -57,69 +111,57 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._nbrs.values()) // 2
+        return int(np.count_nonzero(self.adj)) // 2
+
+    def _edge_positions(self):
+        ii, jj = np.nonzero(np.triu(self.adj, 1))
+        return zip(ii.tolist(), jj.tolist())
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in self.vertices for b in sorted(self._nbrs[a]) if a < b]
+        vs = self.vertices
+        return [(vs[i], vs[j]) for i, j in self._edge_positions()]
 
     def has_vertex(self, v: int) -> bool:
-        return v in self._nbrs
+        return v in self._pos
 
-    def _require(self, v: int) -> None:
-        if v not in self._nbrs:
+    def _index(self, v: int) -> int:
+        if v not in self._pos:
             raise UnknownVertexError(f"vertex {v!r} is not in the graph")
+        return self._pos[v]
+
+    def _keys(self, row: np.ndarray) -> tuple[int, ...]:
+        return tuple(self.vertices[k] for k in np.flatnonzero(row).tolist())
 
     def neighbors(self, v: int) -> frozenset[int]:
-        self._require(v)
-        return self._nbrs[v]
+        return frozenset(self._keys(self.adj[self._index(v)]))
 
     def adjacent(self, a: int, b: int) -> bool:
-        self._require(a)
-        self._require(b)
-        return b in self._nbrs[a]
+        return bool(self.adj[self._index(a), self._index(b)])
 
     def are_orthogonal(self, a: int, b: int) -> bool:
         """Adjacent with no common neighbor."""
-        self._require(a)
-        self._require(b)
+        i, j = self._index(a), self._index(b)
         if a == b:
             raise ValueError("orthogonality needs two distinct vertices")
-        return b in self._nbrs[a] and not (self._nbrs[a] & self._nbrs[b])
+        return bool(self.orth[i, j])
 
     def are_similar(self, a: int, b: int) -> bool:
         """Non-adjacent with identical neighborhoods; a vertex is similar to itself."""
-        self._require(a)
-        self._require(b)
-        if a == b:
-            return True
-        return b not in self._nbrs[a] and self._nbrs[a] == self._nbrs[b]
+        i, j = self._index(a), self._index(b)
+        return bool((self.adj[i] == self.adj[j]).all())
 
     def complements(self, a: int) -> tuple[int, ...]:
         """All vertices orthogonal to ``a``, ascending."""
-        self._require(a)
-        if self._complements is None:
-            comp: dict[int, list[int]] = {v: [] for v in self.vertices}
-            for x, y in self.edge_list():
-                if not (self._nbrs[x] & self._nbrs[y]):
-                    comp[x].append(y)
-                    comp[y].append(x)
-            self._complements = {v: tuple(sorted(ws)) for v, ws in comp.items()}
-        return self._complements[a]
+        return self._keys(self.orth[self._index(a)])
 
     def is_complemented(self) -> bool:
         """Every vertex has an orthogonal partner (vacuously true when empty)."""
-        return all(self.complements(v) for v in self.vertices)
+        return bool(self.orth.any(axis=1).all())
 
     def is_uniquely_complemented(self) -> bool:
-        """Complemented, and the complements of each vertex are pairwise similar."""
-        for a in self.vertices:
-            comp = self.complements(a)
-            if not comp:
-                return False
-            for b, c in itertools.combinations(comp, 2):
-                if not self.are_similar(b, c):
-                    return False
-        return True
+        """Complemented, and the complements of each vertex are pairwise
+        similar: each row of ``orth`` selects a single adjacency-row class."""
+        return self.is_complemented() and first_class_split(self.orth, row_classes(self.adj)) is None
 
     def is_complete(self) -> tuple[bool, int]:
         """(all distinct pairs adjacent, vertex count) -- i.e. whether this is K^n."""
@@ -127,23 +169,20 @@ class SimpleGraph:
         return (self.edge_count == n * (n - 1) // 2, n)
 
     def is_connected(self) -> tuple[bool, int | None]:
-        """(connected, diameter); the empty graph counts as connected with diameter 0."""
-        if not self.vertices:
-            return True, 0
-        diameter = 0
-        for s in self.vertices:
-            dist = {s: 0}
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in self._nbrs[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
-            if len(dist) < len(self.vertices):
-                return False, None
-            diameter = max(diameter, max(dist.values()))
-        return True, diameter
+        """(connected, diameter); the empty graph counts as connected with diameter 0.
+
+        Runs the breadth-first search from every vertex at once: after k
+        rounds ``reach`` holds the pairs at distance at most k.
+        """
+        a = self.adj.astype(np.float32)
+        reach = np.eye(len(self.vertices), dtype=bool)
+        rounds = 0
+        while True:
+            grown = reach | ((reach.astype(np.float32) @ a) > 0)
+            if (grown == reach).all():
+                break
+            reach, rounds = grown, rounds + 1
+        return (True, rounds) if reach.all() else (False, None)
 
     def to_dot(self) -> str:
         lines = [f"graph {_dot_quote(self.name)} {{"]
@@ -155,28 +194,30 @@ class SimpleGraph:
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
-        pos = {v: i for i, v in enumerate(self.vertices)}
         return {
             "vertices": [self.labels[v] for v in self.vertices],
-            "edges": [[pos[a], pos[b]] for a, b in self.edge_list()],
+            "edges": [[i, j] for i, j in self._edge_positions()],
         }
 
     def __repr__(self) -> str:
         return f"SimpleGraph({self.name!r}, vertices={self.vertex_count}, edges={self.edge_count})"
 
 
+def _ideal_graph(r: FiniteRing, in_i: np.ndarray, name: str) -> SimpleGraph:
+    """``gamma_ideal`` for the ideal with membership mask ``in_i``."""
+    prod_in = in_i[r.mul_table]
+    outside = ~in_i
+    varr = np.flatnonzero(outside & (prod_in & outside[None, :]).any(axis=1))
+    adj = prod_in[np.ix_(varr, varr)]
+    np.fill_diagonal(adj, False)
+    verts = varr.tolist()
+    return SimpleGraph._from_matrix(verts, {v: r.element_names[v] for v in verts}, adj, name)
+
+
 def gamma(r: FiniteRing) -> SimpleGraph:
     """The zero-divisor graph: vertices are the nonzero zero-divisors,
     distinct x and y adjacent exactly when x*y = 0."""
-    verts = sorted(zero_divisors(r).members - {r.zero})
-    varr = np.asarray(verts, dtype=np.intp)
-    edges: list[tuple[int, int]] = []
-    if verts:
-        sub = r.mul_table[np.ix_(varr, varr)] == r.zero
-        ii, jj = np.nonzero(np.triu(sub, 1))
-        edges = [(int(varr[i]), int(varr[j])) for i, j in zip(ii.tolist(), jj.tolist())]
-    labels = {v: r.element_names[v] for v in verts}
-    return SimpleGraph(verts, labels, edges, name=f"Gamma({r.spec})")
+    return _ideal_graph(r, np.arange(r.order) == r.zero, f"Gamma({r.spec})")
 
 
 def gamma_ideal(r: FiniteRing, i: Ideal) -> SimpleGraph:
@@ -185,17 +226,6 @@ def gamma_ideal(r: FiniteRing, i: Ideal) -> SimpleGraph:
     when x*y lands in I. Coincides with ``gamma`` at the zero ideal."""
     if not i.is_proper:
         raise ImproperIdealError("the ideal-based graph needs a proper ideal")
-    in_i = np.zeros(r.order, dtype=bool)
-    in_i[list(i.members)] = True
-    prod_in = in_i[r.mul_table]
-    outside = ~in_i
-    has_partner = (prod_in & outside[None, :]).any(axis=1)
-    varr = np.flatnonzero(outside & has_partner)
-    sub = prod_in[np.ix_(varr, varr)]
-    ii, jj = np.nonzero(np.triu(sub, 1))
-    edges = [(int(varr[i]), int(varr[j])) for i, j in zip(ii.tolist(), jj.tolist())]
-    verts = varr.tolist()
-    labels = {v: r.element_names[v] for v in verts}
     gens = i.generators if i.generators else (r.zero,)
     name = f"Gamma_{{{','.join(str(g) for g in gens)}}}({r.spec})"
-    return SimpleGraph(verts, labels, edges, name=name)
+    return _ideal_graph(r, i.mask, name)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -28,6 +29,14 @@ class Ideal:
     def __post_init__(self):
         if self.ring.zero not in self.members:
             raise InvalidElementError("an ideal must contain zero")
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only boolean membership array over the ring's elements."""
+        mask = np.zeros(self.ring.order, dtype=bool)
+        mask[list(self.members)] = True
+        mask.setflags(write=False)
+        return mask
 
     def __len__(self) -> int:
         return len(self.members)
@@ -130,12 +139,10 @@ def radical(i: Ideal) -> Ideal:
     ideal all higher powers stay there, so repeated squaring decides it.
     """
     r = i.ring
-    in_i = np.zeros(r.order, dtype=bool)
-    in_i[list(i.members)] = True
     e = np.arange(r.order, dtype=np.intp)
     for _ in range(max(1, (r.order - 1).bit_length())):
         e = r.mul_table[e, e]
-    members = frozenset(np.flatnonzero(in_i[e]).tolist())
+    members = frozenset(np.flatnonzero(i.mask[e]).tolist())
     return Ideal(r, members, minimal_generators(r, members))
 
 
@@ -147,11 +154,8 @@ def is_prime(i: Ideal) -> bool:
     """Proper, and x*y in I forces x in I or y in I (exhaustive pair scan)."""
     if not i.is_proper:
         return False
-    r = i.ring
-    in_i = np.zeros(r.order, dtype=bool)
-    in_i[list(i.members)] = True
-    prod_in = in_i[r.mul_table]
-    outside = ~in_i
+    prod_in = i.mask[i.ring.mul_table]
+    outside = ~i.mask
     return not bool((prod_in & outside[:, None] & outside[None, :]).any())
 
 

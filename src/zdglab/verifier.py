@@ -19,11 +19,12 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import json
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     CapExceededError,
     CatalogueError,
@@ -32,7 +33,7 @@ from .errors import (
     SpecParseError,
     ZdglabError,
 )
-from .graphs import SimpleGraph, gamma, gamma_ideal
+from .graphs import SimpleGraph, first_class_split, gamma, gamma_ideal, row_classes
 from .ideals import (
     DEFAULT_IDEAL_ENUMERATION_CAP,
     Ideal,
@@ -51,7 +52,7 @@ from .rings import (
 )
 from .specs import build_ring, parse_ring_spec
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 ORDERING_KEY = "(ring_spec, ideal_members)"
 
 QUOTIENT_VNR_NOTE = (
@@ -87,29 +88,6 @@ class PropertyVerdict:
     quotient_graph_uniquely_complemented: bool
     quotient_vnr: bool
     quotient_z_count: int
-
-    def to_dict(self) -> dict:
-        d = {
-            "ring_spec": self.ring_spec,
-            "ideal_members": list(self.ideal_members),
-            "ideal_is_radical": self.ideal_is_radical,
-            "ideal_is_prime": self.ideal_is_prime,
-            "quotient_vertex_count": self.quotient_vertex_count,
-            "gi_vertex_count": self.gi_vertex_count,
-            "gi_complemented": self.gi_complemented,
-            "gi_uniquely_complemented": self.gi_uniquely_complemented,
-            "quotient_graph_complemented": self.quotient_graph_complemented,
-            "quotient_graph_uniquely_complemented": self.quotient_graph_uniquely_complemented,
-            "quotient_vnr": self.quotient_vnr,
-            "quotient_z_count": self.quotient_z_count,
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PropertyVerdict":
-        kwargs = dict(d)
-        kwargs["ideal_members"] = tuple(kwargs["ideal_members"])
-        return cls(**kwargs)
 
 
 class PairAnalysis:
@@ -152,9 +130,7 @@ def analyze_pair(ring: FiniteRing, ideal: Ideal, *, _corrupt_graph: bool = False
 def _drop_top_vertex(graph: SimpleGraph) -> SimpleGraph:
     # fault-injection hook: deterministically corrupt adjacency data
     keep = graph.vertices[:-1]
-    kept = set(keep)
-    edges = [(a, b) for a, b in graph.edge_list() if a in kept and b in kept]
-    return SimpleGraph(keep, {v: graph.labels[v] for v in keep}, edges, name=graph.name)
+    return SimpleGraph._from_matrix(keep, graph.labels, graph.adj[:-1, :-1], graph.name)
 
 
 # --- checks -----------------------------------------------------------------
@@ -254,20 +230,21 @@ def check_orthogonality_lifting(a: PairAnalysis):
     applicable = a.verdict.ideal_is_radical and not a.verdict.ideal_is_prime
     if not applicable:
         return False, None
-    cmap = a.coset_map
-    orth_gi = {v: frozenset(a.gi.complements(v)) for v in a.gi.vertices}
-    orth_gq = {v: frozenset(a.gq.complements(v)) for v in a.gq.vertices}
-    for x, y in itertools.combinations(a.gi.vertices, 2):
-        lhs = y in orth_gi[x]
-        cx, cy = int(cmap[x]), int(cmap[y])
-        if cx == cy:
-            if lhs:
-                return True, {"x": x, "y": y, "reason": "orthogonal pair inside one coset"}
-            continue
-        rhs = cy in orth_gq[cx]
-        if lhs != rhs:
-            return True, {"x": x, "y": y, "gi_orthogonal": lhs, "quotient_orthogonal": rhs}
-    return True, None
+    gi, gq = a.gi, a.gq
+    cosets = a.coset_map[np.asarray(gi.vertices, dtype=np.intp)]
+    pos = np.searchsorted(np.asarray(gq.vertices, dtype=np.intp), cosets)
+    same = cosets[:, None] == cosets[None, :]
+    lifted = gq.orth[np.ix_(pos, pos)] & ~same
+    bad = np.triu(gi.orth != lifted, 1)
+    if not bad.any():
+        return True, None
+    i, j = divmod(int(bad.argmax()), len(cosets))
+    x, y = gi.vertices[i], gi.vertices[j]
+    if same[i, j]:
+        return True, {"x": x, "y": y, "reason": "orthogonal pair inside one coset"}
+    return True, {
+        "x": x, "y": y, "gi_orthogonal": bool(gi.orth[i, j]), "quotient_orthogonal": bool(lifted[i, j])
+    }
 
 
 def check_annihilator_agreement(a: PairAnalysis):
@@ -277,29 +254,16 @@ def check_annihilator_agreement(a: PairAnalysis):
     applicable = a.verdict.ideal_is_radical and a.verdict.quotient_graph_uniquely_complemented
     if not applicable:
         return False, None
-    ring = a.ring
-    in_i = np.zeros(ring.order, dtype=bool)
-    in_i[list(a.ideal.members)] = True
-    outside = ~in_i
-    ann_cache: dict[int, frozenset[int]] = {}
-
-    def ann_mod_ideal(v: int) -> frozenset[int]:
-        if v not in ann_cache:
-            mask = in_i[ring.mul_table[v]] & outside
-            ann_cache[v] = frozenset(np.flatnonzero(mask).tolist())
-        return ann_cache[v]
-
-    for x in a.gi.vertices:
-        comp = a.gi.complements(x)
-        if len(comp) < 2:
-            continue
-        base = ann_mod_ideal(comp[0])
-        for z in comp[1:]:
-            other = ann_mod_ideal(z)
-            if other != base:
-                alpha = min(base ^ other)
-                return True, {"x": x, "y": comp[0], "z": z, "alpha": int(alpha)}
-    return True, None
+    in_i, gi = a.ideal.mask, a.gi
+    # row v: the alphas outside I with alpha * v in I
+    ann = in_i[a.ring.mul_table][np.asarray(gi.vertices, dtype=np.intp)] & ~in_i
+    split = first_class_split(gi.orth, row_classes(ann))
+    if split is None:
+        return True, None
+    i, k = split
+    j = int(gi.orth[i].argmax())
+    alpha = int(np.flatnonzero(ann[j] != ann[k])[0])
+    return True, {"x": gi.vertices[i], "y": gi.vertices[j], "z": gi.vertices[k], "alpha": alpha}
 
 
 def check_complemented_iff_uc(a: PairAnalysis):
@@ -361,14 +325,6 @@ class CheckResult:
     pairs_applicable: int
     failures: list[dict]
 
-    def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "pairs_tested": self.pairs_tested,
-            "pairs_applicable": self.pairs_applicable,
-            "failures": self.failures,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -388,15 +344,7 @@ class VerificationReport:
         raise KeyError(name)
 
     def to_json(self) -> str:
-        obj = {
-            "catalogue": self.catalogue,
-            "checks": [c.to_dict() for c in self.checks],
-            "verdicts": [v.to_dict() for v in self.verdicts],
-            "failures_total": self.failures_total,
-            "tool_version": self.tool_version,
-            "ordering_key": self.ordering_key,
-        }
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def default_catalogue() -> list[CatalogueEntry]:
@@ -499,7 +447,7 @@ def evaluate_entry(
         for name, fn in CHECKS:
             applicable, failure = fn(analysis)
             outcome[name] = {"applicable": bool(applicable), "failure": failure}
-        pairs.append({"verdict": analysis.verdict.to_dict(), "checks": outcome})
+        pairs.append({"verdict": analysis.verdict, "checks": outcome})
     return {"spec": ring.spec, "skipped": None, "pairs": pairs}
 
 
@@ -547,9 +495,9 @@ def run_catalogue(
         key=lambda s: (s["spec"], s["reason"]),
     )
     pair_records = [p for r in results for p in r["pairs"]]
-    pair_records.sort(key=lambda p: (p["verdict"]["ring_spec"], tuple(p["verdict"]["ideal_members"])))
+    pair_records.sort(key=lambda p: (p["verdict"].ring_spec, p["verdict"].ideal_members))
 
-    verdicts = [PropertyVerdict.from_dict(p["verdict"]) for p in pair_records]
+    verdicts = [p["verdict"] for p in pair_records]
     checks: list[CheckResult] = []
     for name in CHECK_NAMES:
         applicable = 0
@@ -561,8 +509,8 @@ def run_catalogue(
             if outcome["failure"] is not None:
                 failures.append(
                     {
-                        "ring_spec": p["verdict"]["ring_spec"],
-                        "ideal_members": list(p["verdict"]["ideal_members"]),
+                        "ring_spec": p["verdict"].ring_spec,
+                        "ideal_members": list(p["verdict"].ideal_members),
                         "witness": outcome["failure"],
                     }
                 )

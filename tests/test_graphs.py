@@ -10,17 +10,21 @@ from zdglab import (
     ImproperIdealError,
     SimpleGraph,
     UnknownVertexError,
-    build_poly_quotient,
+    all_ideals,
+    build_ring,
     build_zn,
+    default_catalogue,
     direct_product,
     gamma,
     gamma_ideal,
     generate_ideal,
+    quotient_ring,
 )
 
 from oracles import (
     adj_from_edges,
     graph_complemented,
+    graph_orthogonal,
     graph_similar,
     graph_uniquely_complemented,
     zn_gamma_ideal,
@@ -167,21 +171,40 @@ def test_simple_graph_rejects_loops_and_unknown_edges():
 
 
 def test_predicates_match_naive_oracle():
-    # run the naive definitions against the library predicates on assorted graphs
-    cases = []
-    for n, gens in ((6, []), (8, []), (12, [6]), (16, [4]), (24, [8]), (30, [])):
-        r = build_zn(n)
-        cases.append(gamma_ideal(r, generate_ideal(r, gens)))
-    cases.append(gamma(direct_product(build_zn(4), build_zn(2))))
-    cases.append(gamma(build_poly_quotient(2, [0, 0, 0, 1])))
-    for g in cases:
-        adj = adj_from_edges(g.vertices, g.edge_list())
-        assert g.is_complemented() == graph_complemented(adj), g.name
-        assert g.is_uniquely_complemented() == graph_uniquely_complemented(adj), g.name
-        for a in g.vertices:
-            for b in g.vertices:
-                if a != b:
-                    assert g.are_similar(a, b) == graph_similar(adj, a, b)
+    # the naive definitions against the library predicates on Gamma_I(R) and
+    # Gamma(R/I) for every (ring, proper ideal) pair of the default catalogue
+    graphs = 0
+    for entry in default_catalogue():
+        r = build_ring(entry.spec)
+        for ideal in all_ideals(r):
+            if not ideal.is_proper:
+                continue
+            for g in (gamma_ideal(r, ideal), gamma(quotient_ring(r, ideal)[0])):
+                adj = adj_from_edges(g.vertices, g.edge_list())
+                assert g.is_complemented() == graph_complemented(adj), g.name
+                assert g.is_uniquely_complemented() == graph_uniquely_complemented(adj), g.name
+                for a in g.vertices:
+                    others = [b for b in g.vertices if b != a]
+                    expected = tuple(b for b in others if graph_orthogonal(adj, a, b))
+                    assert g.complements(a) == expected, (g.name, a)
+                    for b in others:
+                        assert g.are_similar(a, b) == graph_similar(adj, a, b), (g.name, a, b)
+                graphs += 1
+    assert graphs == 2520
+
+
+def test_complements_with_equal_orthogonality_rows_are_not_similar():
+    # vertex 0 has complements 1 and 2, each orthogonal to 0 alone; but 1 also
+    # lies in the triangle 1-3-4, so their neighborhoods differ
+    edges = [(0, 1), (0, 2), (1, 3), (1, 4), (3, 4), (3, 5), (4, 6)]
+    g = SimpleGraph(range(7), {v: str(v) for v in range(7)}, edges)
+    adj = adj_from_edges(g.vertices, edges)
+    assert g.complements(0) == (1, 2)
+    assert g.complements(1) == g.complements(2) == (0,)
+    assert g.is_complemented() and graph_complemented(adj)
+    assert not g.are_similar(1, 2)
+    assert not g.is_uniquely_complemented()
+    assert not graph_uniquely_complemented(adj)
 
 
 def test_complemented_non_k2_path_in_gamma_z8():

@@ -10,7 +10,6 @@ from zdglab import (
     build_zn,
     direct_product,
     generate_ideal,
-    is_isomorphic_small,
     is_prime,
     is_radical,
     is_reduced,
@@ -19,7 +18,7 @@ from zdglab import (
     zero_divisors,
 )
 
-from oracles import zn_ideal
+from oracles import is_isomorphic_small, zn_ideal
 
 
 def test_generate_ideal_principal():

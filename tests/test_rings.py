@@ -22,7 +22,6 @@ from zdglab import (
     build_zn,
     direct_product,
     generate_ideal,
-    is_isomorphic_small,
     is_reduced,
     is_von_neumann_regular,
     nilpotents,
@@ -32,7 +31,7 @@ from zdglab import (
     zero_divisors,
 )
 
-from oracles import squarefree, zn_nilpotents, zn_units, zn_zero_divisors
+from oracles import is_isomorphic_small, squarefree, zn_nilpotents, zn_units, zn_zero_divisors
 
 
 def test_build_zn_basics():

@@ -10,11 +10,12 @@ from zdglab import (
     build_ring,
     build_zn,
     format_spec,
-    is_isomorphic_small,
     parse_ring_spec,
     zero_divisors,
 )
 from zdglab.specs import PolyqNode, ProdNode, QuotNode, ZnNode
+
+from oracles import is_isomorphic_small
 
 ROUND_TRIP_CORPUS = [
     "Zn:2",

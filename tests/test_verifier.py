@@ -8,6 +8,7 @@ from zdglab import (
     CatalogueEntry,
     CatalogueError,
     CHECK_NAMES,
+    SimpleGraph,
     analyze_pair,
     build_ring,
     build_zn,
@@ -142,6 +143,51 @@ def test_check_annihilator_agreement():
     ann8 = {x for x in range(12) if x not in ideal and (8 * x) % 12 in ideal}
     assert ann2 == ann8 == {3, 9}
     assert not_applicable(check_annihilator_agreement, pair("Zn:8", [4]))
+
+
+def with_gi_edges(analysis, edges):
+    """The same pair with Gamma_I(R) replaced by a graph on the same vertices."""
+    g = analysis.gi
+    analysis.gi = SimpleGraph(g.vertices, g.labels, edges, name=g.name)
+    return analysis
+
+
+def with_edge_toggled(analysis, a, b):
+    """The same pair with the edge {a, b} of Gamma_I(R) added or removed."""
+    return with_gi_edges(analysis, set(analysis.gi.edge_list()) ^ {(a, b)})
+
+
+def test_orthogonality_lifting_witnesses():
+    # Gamma(Z_30) with one edge removed: 2 and 15 stop being orthogonal
+    a = with_edge_toggled(pair("Zn:30", []), 2, 15)
+    assert check_orthogonality_lifting(a) == (
+        True, {"x": 2, "y": 15, "gi_orthogonal": False, "quotient_orthogonal": True}
+    )
+    # one edge added: 2 -- 3 is orthogonal in Gamma_I(R) but not in the quotient
+    a = with_edge_toggled(pair("Zn:30", []), 2, 3)
+    assert check_orthogonality_lifting(a) == (
+        True, {"x": 2, "y": 3, "gi_orthogonal": True, "quotient_orthogonal": False}
+    )
+    # one edge added inside Gamma_{6}(Z_12): 2 loses its orthogonal partner 3
+    a = with_edge_toggled(pair("Zn:12", [6]), 2, 4)
+    assert check_orthogonality_lifting(a) == (
+        True, {"x": 2, "y": 3, "gi_orthogonal": False, "quotient_orthogonal": True}
+    )
+    # 2 and 8 share the coset 2+I; joining only them to each other and 2 to 3
+    a = with_gi_edges(pair("Zn:12", [6]), [(2, 3), (2, 8)])
+    assert check_orthogonality_lifting(a) == (
+        True, {"x": 2, "y": 8, "reason": "orthogonal pair inside one coset"}
+    )
+
+
+def test_annihilator_agreement_witnesses():
+    # Gamma(Z_30) without the edge 10 -- 15: 10 joins 5 and 25 as a complement
+    # of 6, and 3 kills 10 but not 5
+    a = with_edge_toggled(pair("Zn:30", []), 10, 15)
+    assert check_annihilator_agreement(a) == (True, {"x": 6, "y": 5, "z": 10, "alpha": 3})
+    # one edge added: 3 becomes a complement of 2 next to 15
+    a = with_edge_toggled(pair("Zn:30", []), 2, 3)
+    assert check_annihilator_agreement(a) == (True, {"x": 2, "y": 3, "z": 15, "alpha": 2})
 
 
 def test_check_complemented_iff_uc():
