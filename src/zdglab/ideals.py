@@ -3,83 +3,63 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .errors import CapExceededError, ImproperIdealError, InvalidElementError
-from .rings import FiniteRing
+from .rings import ElementSet, FiniteRing
 
 DEFAULT_IDEAL_ENUMERATION_CAP = 256
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """An ideal given by its full member set.
+@dataclass(frozen=True, eq=False)
+class Ideal(ElementSet):
+    """An ideal given by its membership mask.
 
-    ``generators`` records provenance; ``members`` is always the complete
-    closure (0 in it, closed under addition and ring multiplication).
+    ``generators`` records provenance; ``mask`` is always the complete
+    ideal (0 in it, closed under addition and ring multiplication).
     """
 
-    ring: FiniteRing
-    members: frozenset[int]
     generators: tuple[int, ...]
 
     def __post_init__(self):
-        if self.ring.zero not in self.members:
+        super().__post_init__()
+        if not self.mask[self.ring.zero]:
             raise InvalidElementError("an ideal must contain zero")
-
-    @cached_property
-    def mask(self) -> np.ndarray:
-        """Read-only boolean membership array over the ring's elements."""
-        mask = np.zeros(self.ring.order, dtype=bool)
-        mask[list(self.members)] = True
-        mask.setflags(write=False)
-        return mask
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
 
     @property
     def is_zero(self) -> bool:
-        return len(self.members) == 1
+        return len(self) == 1
 
     @property
     def is_proper(self) -> bool:
-        return len(self.members) < self.ring.order
+        return len(self) < self.ring.order
 
     def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(self)
 
     def __repr__(self) -> str:
         gens = ",".join(str(g) for g in self.generators)
-        return f"Ideal(({gens}) in {self.ring.spec}, size={len(self.members)})"
+        return f"Ideal(({gens}) in {self.ring.spec}, size={len(self)})"
 
 
-def _principal_members(r: FiniteRing, g: int) -> frozenset[int]:
-    # Rg is already closed under addition (r1 g + r2 g = (r1+r2) g)
-    return frozenset(int(x) for x in r.mul_table[:, g])
+def _principal_mask(r: FiniteRing, g: int) -> np.ndarray:
+    mask = np.zeros(r.order, dtype=bool)
+    mask[r.mul_table[g]] = True
+    return mask
 
 
-def _additive_closure(r: FiniteRing, seed: Iterable[int]) -> frozenset[int]:
-    members = set(int(x) for x in seed)
-    members.add(r.zero)
-    frontier = sorted(members)
-    add = r.add_table
-    while frontier:
-        sums = add[np.ix_(frontier, sorted(members))].ravel()
-        new = set(sums.tolist()) - members
-        members |= new
-        frontier = sorted(new)
-    return frozenset(members)
+def _sum_mask(r: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the ideal sum a + b (a sum of ideals is an ideal)."""
+    mask = np.zeros(r.order, dtype=bool)
+    mask[r.add_table[np.ix_(np.flatnonzero(a), np.flatnonzero(b))]] = True
+    return mask
 
 
 def generate_ideal(r: FiniteRing, gens: Iterable[int]) -> Ideal:
-    """Smallest ideal containing the given elements (the zero ideal for [])."""
+    """Smallest ideal containing the given elements (the zero ideal for []):
+    the sum of the generators' principal ideals."""
     gen_list: list[int] = []
     for g in gens:
         g = int(g)
@@ -87,48 +67,48 @@ def generate_ideal(r: FiniteRing, gens: Iterable[int]) -> Ideal:
             raise InvalidElementError(f"generator {g} out of range for ring of order {r.order}")
         if g not in gen_list:
             gen_list.append(g)
-    seed: set[int] = {r.zero}
+    mask = np.arange(r.order) == r.zero
     for g in gen_list:
-        seed |= _principal_members(r, g)
-    return Ideal(r, _additive_closure(r, seed), tuple(gen_list))
+        if not mask[g]:
+            mask = _sum_mask(r, mask, _principal_mask(r, g))
+    return Ideal(r, mask, tuple(gen_list))
 
 
-def minimal_generators(r: FiniteRing, members: frozenset[int]) -> tuple[int, ...]:
-    """Greedy small generating sequence for an ideal's member set."""
+def minimal_generators(r: FiniteRing, mask: np.ndarray) -> tuple[int, ...]:
+    """Greedy small generating sequence for an ideal's membership mask:
+    each member not yet covered, in ascending order, joins the generators."""
     gens: list[int] = []
-    covered: frozenset[int] = frozenset({r.zero})
-    for m in sorted(members):
-        if m not in covered:
+    covered = np.arange(r.order) == r.zero
+    for m in np.flatnonzero(mask).tolist():
+        if not covered[m]:
             gens.append(m)
-            covered = _additive_closure(r, covered | _principal_members(r, m))
+            covered = _sum_mask(r, covered, _principal_mask(r, m))
     return tuple(gens)
 
 
 def all_ideals(r: FiniteRing, *, max_order: int = DEFAULT_IDEAL_ENUMERATION_CAP) -> list[Ideal]:
     """Every ideal of the ring, zero ideal and whole ring included.
 
-    Closes the set of principal ideals under pairwise ideal sum; every
-    ideal of a finite ring is a finite sum of principal ideals, so the
-    fixpoint is complete. Sorted by (size, member sequence).
+    Adds each principal ideal, in turn, to every ideal found so far. After
+    the t-th principal ideal the sum of any of the first t is found, and every
+    ideal of a finite ring is the sum of the principal ideals of its
+    members, so the result is complete. A principal ideal keeps its least
+    generator. Sorted by (size, member sequence).
     """
     if r.order > max_order:
         raise CapExceededError(f"ideal enumeration allows order <= {max_order}, ring has {r.order}")
-    found: dict[frozenset[int], tuple[int, ...]] = {}
+    found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
     for g in range(r.order):
-        m = _principal_members(r, g)
-        if m not in found:
-            found[m] = (g,)
-    add = r.add_table
-    work = list(found)
-    while work:
-        cur = sorted(work.pop())
-        for other in list(found):
-            s = frozenset(add[np.ix_(cur, sorted(other))].ravel().tolist())
-            if s not in found:
-                found[s] = minimal_generators(r, s)
-                work.append(s)
-    ideals = [Ideal(r, m, gens) for m, gens in found.items()]
-    ideals.sort(key=lambda i: (len(i.members), i.sorted_members()))
+        m = _principal_mask(r, g)
+        found.setdefault(m.tobytes(), (m, (g,)))
+    for cur, _ in list(found.values()):
+        for other, _ in list(found.values()):
+            s = _sum_mask(r, cur, other)
+            key = s.tobytes()
+            if key not in found:
+                found[key] = (s, minimal_generators(r, s))
+    ideals = [Ideal(r, m, gens) for m, gens in found.values()]
+    ideals.sort(key=lambda i: (len(i), i.sorted_members()))
     return ideals
 
 
@@ -142,12 +122,12 @@ def radical(i: Ideal) -> Ideal:
     e = np.arange(r.order, dtype=np.intp)
     for _ in range(max(1, (r.order - 1).bit_length())):
         e = r.mul_table[e, e]
-    members = frozenset(np.flatnonzero(i.mask[e]).tolist())
-    return Ideal(r, members, minimal_generators(r, members))
+    mask = i.mask[e]
+    return Ideal(r, mask, minimal_generators(r, mask))
 
 
 def is_radical(i: Ideal) -> bool:
-    return radical(i).members == i.members
+    return bool(np.array_equal(radical(i).mask, i.mask))
 
 
 def is_prime(i: Ideal) -> bool:
@@ -170,7 +150,7 @@ def quotient_ring(r: FiniteRing, i: Ideal) -> tuple[FiniteRing, np.ndarray]:
         cmap = np.arange(r.order, dtype=np.intp)
         cmap.setflags(write=False)
         return r, cmap
-    mem = np.fromiter(sorted(i.members), dtype=np.intp)
+    mem = np.flatnonzero(i.mask)
     reps = r.add_table[:, mem].min(axis=1)
     rep_values = np.unique(reps)
     cmap = np.searchsorted(rep_values, reps).astype(np.intp)

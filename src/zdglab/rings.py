@@ -79,29 +79,43 @@ class FiniteRing:
         return f"FiniteRing({self.spec!r}, order={self.order})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElementSet:
-    """An immutable subset of a ring's elements."""
+    """An immutable subset of a ring's elements.
+
+    ``mask`` is a read-only boolean membership array over ``0..order-1`` and
+    the only state; ``members`` and iteration are derived from it. Instances
+    compare by identity (compare masks to compare subsets).
+    """
 
     ring: FiniteRing
-    members: frozenset[int]
+    mask: np.ndarray
 
     def __post_init__(self):
-        for x in self.members:
-            if not (0 <= x < self.ring.order):
-                raise InvalidElementError(f"element index {x} out of range for order {self.ring.order}")
+        mask = np.array(self.mask, dtype=bool)
+        if mask.shape != (self.ring.order,):
+            raise InvalidElementError(
+                f"membership mask must have shape ({self.ring.order},), got {mask.shape}"
+            )
+        mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
+    @property
+    def members(self) -> frozenset[int]:
+        """The members as a frozenset, rebuilt from the mask on each read."""
+        return frozenset(self)
+
+    def __contains__(self, x) -> bool:
+        return isinstance(x, (int, np.integer)) and 0 <= x < self.ring.order and bool(self.mask[x])
 
     def __iter__(self):
-        return iter(sorted(self.members))
+        return iter(np.flatnonzero(self.mask).tolist())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.mask))
 
     def names(self) -> tuple[str, ...]:
-        return tuple(self.ring.element_names[x] for x in sorted(self.members))
+        return tuple(self.ring.element_names[x] for x in self)
 
 
 def _is_prime(n: int) -> bool:
@@ -223,8 +237,7 @@ def zero_divisors(r: FiniteRing) -> ElementSet:
     """Z(R) = elements x with x*y = 0 for some nonzero y (0 always qualifies)."""
     hits = r.mul_table == r.zero
     hits[:, r.zero] = False
-    members = frozenset(np.flatnonzero(hits.any(axis=1)).tolist())
-    return ElementSet(r, members)
+    return ElementSet(r, hits.any(axis=1))
 
 
 def nilpotents(r: FiniteRing) -> ElementSet:
@@ -236,17 +249,18 @@ def nilpotents(r: FiniteRing) -> ElementSet:
     e = np.arange(r.order, dtype=np.intp)
     for _ in range(max(1, (r.order - 1).bit_length())):
         e = r.mul_table[e, e]
-    members = frozenset(np.flatnonzero(e == r.zero).tolist())
-    return ElementSet(r, members)
+    return ElementSet(r, e == r.zero)
 
 
 def is_reduced(r: FiniteRing) -> bool:
     """True when the only nilpotent element is zero."""
-    return nilpotents(r).members == frozenset({r.zero})
+    return list(nilpotents(r)) == [r.zero]
 
 
 def is_von_neumann_regular(r: FiniteRing) -> bool:
     """True when every x admits a y with x*y*x = x (exhaustive search)."""
+    # a loop on purpose: it stops at the first non-regular x, and regular
+    # rings are rarely large, so it beats a vectorised scan over all x
     mul = r.mul_table
     for x in range(r.order):
         if not (mul[mul[x], x] == x).any():
@@ -265,13 +279,10 @@ def total_quotient_ring(r: FiniteRing) -> FiniteRing:
     localization changes nothing. This verifies that fact on the tables
     (it can only fail for corrupted data) and returns ``r`` unchanged.
     """
-    zset = zero_divisors(r).members
-    unit = _unit_mask(r)
-    for x in range(r.order):
-        if x not in zset and not unit[x]:
-            raise RingConsistencyError(
-                f"element {r.element_names[x]} is neither a unit nor a zero-divisor"
-            )
+    bad = ~zero_divisors(r).mask & ~_unit_mask(r)
+    if bad.any():
+        x = int(bad.argmax())
+        raise RingConsistencyError(f"element {r.element_names[x]} is neither a unit nor a zero-divisor")
     return r
 
 
@@ -279,8 +290,7 @@ def annihilator(r: FiniteRing, x: int) -> ElementSet:
     """All a with a*x = 0."""
     if not (isinstance(x, (int, np.integer)) and 0 <= x < r.order):
         raise InvalidElementError(f"element index {x!r} out of range for order {r.order}")
-    members = frozenset(np.flatnonzero(r.mul_table[int(x)] == r.zero).tolist())
-    return ElementSet(r, members)
+    return ElementSet(r, r.mul_table[int(x)] == r.zero)
 
 
 def validate_ring_axioms(r: FiniteRing) -> None:

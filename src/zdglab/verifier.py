@@ -93,7 +93,7 @@ class PropertyVerdict:
 class PairAnalysis:
     """Everything the checks need about one (ring, proper ideal) pair."""
 
-    __slots__ = ("ring", "ideal", "quotient", "coset_map", "gi", "gq", "radical_members", "verdict")
+    __slots__ = ("ring", "ideal", "quotient", "coset_map", "gi", "gq", "radical", "verdict")
 
     def __init__(self, ring: FiniteRing, ideal: Ideal, *, _corrupt_graph: bool = False):
         self.ring = ring
@@ -105,11 +105,11 @@ class PairAnalysis:
             gi = _drop_top_vertex(gi)
         self.gi = gi
         self.gq = gamma(self.quotient)
-        self.radical_members = radical(ideal).members
+        self.radical = radical(ideal)
         self.verdict = PropertyVerdict(
             ring_spec=ring.spec,
             ideal_members=ideal.sorted_members(),
-            ideal_is_radical=self.radical_members == ideal.members,
+            ideal_is_radical=bool(np.array_equal(self.radical.mask, ideal.mask)),
             ideal_is_prime=is_prime(ideal),
             quotient_vertex_count=self.gq.vertex_count,
             gi_vertex_count=self.gi.vertex_count,
@@ -139,11 +139,11 @@ def _drop_top_vertex(graph: SimpleGraph) -> SimpleGraph:
 
 def check_cardinality(a: PairAnalysis):
     """|V(Gamma_I(R))| = |I| * |V(Gamma(R/I))| for every proper ideal."""
-    expected = len(a.ideal.members) * a.verdict.quotient_vertex_count
+    expected = len(a.ideal) * a.verdict.quotient_vertex_count
     if a.verdict.gi_vertex_count != expected:
         return True, {
             "gi_vertex_count": a.verdict.gi_vertex_count,
-            "ideal_size": len(a.ideal.members),
+            "ideal_size": len(a.ideal),
             "quotient_vertex_count": a.verdict.quotient_vertex_count,
         }
     return True, None
@@ -160,8 +160,8 @@ def check_nonradical_not_complemented(a: PairAnalysis):
     if not applicable:
         return False, None
     if a.verdict.gi_complemented:
-        witness = min(a.radical_members - a.ideal.members)
-        return True, {"gi_complemented": True, "radical_excess_element": int(witness)}
+        witness = int(np.flatnonzero(a.radical.mask & ~a.ideal.mask)[0])
+        return True, {"gi_complemented": True, "radical_excess_element": witness}
     return True, None
 
 
@@ -170,8 +170,8 @@ def check_k1_inflation(a: PairAnalysis):
     if a.verdict.quotient_vertex_count != 1:
         return False, None
     complete, nverts = a.gi.is_complete()
-    if not (complete and nverts == len(a.ideal.members)):
-        return True, {"complete": complete, "gi_vertex_count": nverts, "ideal_size": len(a.ideal.members)}
+    if not (complete and nverts == len(a.ideal)):
+        return True, {"complete": complete, "gi_vertex_count": nverts, "ideal_size": len(a.ideal)}
     return True, None
 
 
@@ -214,7 +214,7 @@ def check_classification_cases(a: PairAnalysis):
     applicable = not a.ideal.is_zero and not a.verdict.ideal_is_prime
     if not applicable:
         return False, None
-    case1 = a.verdict.quotient_z_count == 2 and len(a.ideal.members) == 2
+    case1 = a.verdict.quotient_z_count == 2 and len(a.ideal) == 2
     case2 = a.verdict.quotient_graph_complemented and a.verdict.ideal_is_radical
     if case1 and case2:
         return True, {"case1": True, "case2": True, "reason": "cases not mutually exclusive"}

@@ -1,12 +1,14 @@
 """Independent oracles for test expectations.
 
 Everything here is computed with plain Python modular arithmetic, naive
-set scans over neighbor sets and a brute-force isomorphism search -- no
-library graph code -- so the tests can compare the library against a
-second, independent route.
+set scans over neighbor sets and member sets, and a brute-force
+isomorphism search -- no library graph or ideal code -- so the tests can
+compare the library against a second, independent route.
 """
 
 from math import gcd
+
+import numpy as np
 
 from zdglab import CapExceededError, FiniteRing, nilpotents, zero_divisors
 
@@ -164,3 +166,106 @@ def is_isomorphic_small(a: FiniteRing, b: FiniteRing, *, max_order: int = ISO_SE
     if not propagate(fwd, inv, [a.zero, a.one]):
         return False
     return search(fwd, inv)
+
+
+def square_zero_ring(k: int) -> FiniteRing:
+    """F_2[x_1..x_k]/(x_1..x_k)^2, order 2^(k+1): for k >= 2 its maximal
+    ideal is not principal, which no spec-built ring has. Element a + v
+    (a in F_2, v in F_2^k) is index a + 2v."""
+    n = 2 << k
+    i = np.arange(n)
+    a, v = i & 1, i >> 1
+    add = i[:, None] ^ i[None, :]
+    mul = (a[:, None] & a[None, :]) | ((a[:, None] * v[None, :]) ^ (a[None, :] * v[:, None])) << 1
+    return FiniteRing(add, mul, [str(x) for x in range(n)], f"square-zero:{k}", zero=0, one=1)
+
+
+# --- set-based ideals: frozenset members closed by an additive fixpoint ------
+
+
+def _principal_members(r: FiniteRing, g: int) -> frozenset[int]:
+    # Rg is already closed under addition (r1 g + r2 g = (r1+r2) g)
+    return frozenset(int(x) for x in r.mul_table[:, g])
+
+
+def _additive_closure(r: FiniteRing, seed) -> frozenset[int]:
+    members = set(int(x) for x in seed)
+    members.add(r.zero)
+    frontier = sorted(members)
+    add = r.add_table
+    while frontier:
+        sums = add[np.ix_(frontier, sorted(members))].ravel()
+        new = set(sums.tolist()) - members
+        members |= new
+        frontier = sorted(new)
+    return frozenset(members)
+
+
+def set_generate_ideal(r: FiniteRing, gens) -> tuple[frozenset[int], tuple[int, ...]]:
+    """(members, generators) of the smallest ideal containing ``gens``."""
+    gen_list: list[int] = []
+    for g in gens:
+        if int(g) not in gen_list:
+            gen_list.append(int(g))
+    seed: set[int] = {r.zero}
+    for g in gen_list:
+        seed |= _principal_members(r, g)
+    return _additive_closure(r, seed), tuple(gen_list)
+
+
+def set_minimal_generators(r: FiniteRing, members: frozenset[int]) -> tuple[int, ...]:
+    gens: list[int] = []
+    covered: frozenset[int] = frozenset({r.zero})
+    for m in sorted(members):
+        if m not in covered:
+            gens.append(m)
+            covered = _additive_closure(r, covered | _principal_members(r, m))
+    return tuple(gens)
+
+
+def set_all_ideals(r: FiniteRing) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """(members, generators) of every ideal, sorted by (size, members)."""
+    found: dict[frozenset[int], tuple[int, ...]] = {}
+    for g in range(r.order):
+        m = _principal_members(r, g)
+        if m not in found:
+            found[m] = (g,)
+    add = r.add_table
+    work = list(found)
+    while work:
+        cur = sorted(work.pop())
+        for other in list(found):
+            s = frozenset(add[np.ix_(cur, sorted(other))].ravel().tolist())
+            if s not in found:
+                found[s] = set_minimal_generators(r, s)
+                work.append(s)
+    return sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+
+
+def set_radical(r: FiniteRing, members: frozenset[int]) -> tuple[frozenset[int], tuple[int, ...]]:
+    """(members, generators) of the radical, by repeated squaring."""
+    e = np.arange(r.order, dtype=np.intp)
+    for _ in range(max(1, (r.order - 1).bit_length())):
+        e = r.mul_table[e, e]
+    rad = frozenset(x for x in range(r.order) if int(e[x]) in members)
+    return rad, set_minimal_generators(r, rad)
+
+
+def set_is_prime(r: FiniteRing, members: frozenset[int]) -> bool:
+    outside = [x for x in range(r.order) if x not in members]
+    return bool(outside) and all(
+        int(r.mul_table[x, y]) not in members for x in outside for y in outside
+    )
+
+
+def brute_force_ideals(r: FiniteRing) -> set[frozenset[int]]:
+    """Every subset containing 0 and closed under + and under multiplication
+    by R, by scanning all 2^(order-1) such subsets (keep the order small)."""
+    n = r.order
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    subsets = bits[bits[:, r.zero]]
+    add_closed = ~(
+        subsets[:, :, None] & subsets[:, None, :] & ~subsets[:, r.add_table]
+    ).any(axis=(1, 2))
+    mul_closed = ~(subsets[:, None, :] & ~subsets[:, r.mul_table]).any(axis=(1, 2))
+    return {frozenset(np.flatnonzero(s).tolist()) for s in subsets[add_closed & mul_closed]}

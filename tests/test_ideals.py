@@ -1,5 +1,6 @@
 """Ideal generation, enumeration, radicals, primality, quotients."""
 
+import numpy as np
 import pytest
 
 from zdglab import (
@@ -7,7 +8,9 @@ from zdglab import (
     ImproperIdealError,
     InvalidElementError,
     all_ideals,
+    build_ring,
     build_zn,
+    default_catalogue,
     direct_product,
     generate_ideal,
     is_prime,
@@ -18,7 +21,16 @@ from zdglab import (
     zero_divisors,
 )
 
-from oracles import is_isomorphic_small, zn_ideal
+from oracles import (
+    brute_force_ideals,
+    is_isomorphic_small,
+    set_all_ideals,
+    set_generate_ideal,
+    set_is_prime,
+    set_radical,
+    square_zero_ring,
+    zn_ideal,
+)
 
 
 def test_generate_ideal_principal():
@@ -98,6 +110,50 @@ def test_all_ideals_cap():
     with pytest.raises(CapExceededError):
         all_ideals(build_zn(300))
     all_ideals(build_zn(300), max_order=300)
+
+
+def matches_set_oracle(r):
+    """all_ideals(r), after checking it and each radical, is_prime and
+    generate_ideal round trip against the set-based oracles."""
+    ideals = all_ideals(r)
+    assert [(i.members, i.generators) for i in ideals] == set_all_ideals(r), r.spec
+    for i in ideals:
+        rad = radical(i)
+        assert (rad.members, rad.generators) == set_radical(r, i.members), (r.spec, i)
+        assert is_prime(i) == set_is_prime(r, i.members), (r.spec, i)
+        again = generate_ideal(r, i.generators)
+        assert (again.members, again.generators) == set_generate_ideal(r, i.generators)
+    return ideals
+
+
+def test_mask_ideals_match_set_oracle_on_default_catalogue():
+    rings = map(build_ring, (e.spec for e in default_catalogue()))
+    assert sum(len(matches_set_oracle(r)) for r in rings) == 1616
+
+
+def test_mask_ideals_match_set_oracle_beyond_principal_ideal_rings():
+    for k in range(2, 6):
+        ideals = matches_set_oracle(square_zero_ring(k))
+        assert max(len(i.generators) for i in ideals) == k
+
+
+def test_all_ideals_match_brute_force_enumeration():
+    rings = [r for r in map(build_ring, (e.spec for e in default_catalogue())) if r.order <= 12]
+    assert len(rings) >= 50
+    rings += [square_zero_ring(k) for k in (1, 2, 3)]
+    for r in rings:
+        expected = sorted((tuple(sorted(m)) for m in brute_force_ideals(r)), key=lambda t: (len(t), t))
+        assert [i.sorted_members() for i in all_ideals(r)] == expected, r.spec
+
+
+def test_membership_out_of_range_is_false():
+    r = build_zn(12)
+    i = generate_ideal(r, [6])
+    for x in (-1, -6, 12, 18, np.int64(-6), np.int64(12)):
+        assert x not in i
+    assert 6 in i and np.int64(6) in i and 3 not in i
+    z = zero_divisors(r)
+    assert -2 not in z and 14 not in z and 2 in z and 5 not in z
 
 
 def test_radical():

@@ -182,7 +182,7 @@ def test_total_quotient_ring_flags_regular_nonunit():
     mul[3] = [0, 3, 3, 3]
     mul[:, 3] = [0, 3, 3, 3]
     corrupt = FiniteRing(base.add_table, mul, base.element_names, "corrupt:Zn:4", zero=0, one=1)
-    with pytest.raises(RingConsistencyError):
+    with pytest.raises(RingConsistencyError, match="^element 3 is neither a unit nor a zero-divisor$"):
         total_quotient_ring(corrupt)
     with pytest.raises(RingConsistencyError):
         validate_ring_axioms(corrupt)

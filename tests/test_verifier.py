@@ -1,5 +1,6 @@
 """Per-check unit cases, catalogue driving, report shape and determinism."""
 
+import dataclasses
 import json
 
 import pytest
@@ -86,6 +87,16 @@ def test_check_nonradical_not_complemented():
     assert not_applicable(check_nonradical_not_complemented, a)
     a = pair("Zn:8", [])  # zero ideal: hypothesis fails
     assert not_applicable(check_nonradical_not_complemented, a)
+
+
+def test_nonradical_not_complemented_witness():
+    # I = (8) in Z_16 has radical (2); a forged complemented verdict is
+    # refuted by the least element of the radical outside I
+    a = pair("Zn:16", [8])
+    a.verdict = dataclasses.replace(a.verdict, gi_complemented=True)
+    assert check_nonradical_not_complemented(a) == (
+        True, {"gi_complemented": True, "radical_excess_element": 2}
+    )
 
 
 def test_check_k1_inflation():
