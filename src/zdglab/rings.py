@@ -8,7 +8,7 @@ an explicit exhaustive scan over those tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -162,11 +162,25 @@ def _poly_name(digits: Sequence[int], p: int) -> str:
     return "+".join(terms) if terms else "0"
 
 
+def _pair_table(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """The componentwise table of two operation tables on row-major pairs
+    (i*len(tb) + j)."""
+    na, nb = len(ta), len(tb)
+    return (ta[:, None, :, None] * nb + tb[None, :, None, :]).reshape(na * nb, na * nb)
+
+
 def build_poly_quotient(p: int, coeffs: Sequence[int], *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
     """Z_p[X]/(f) for a monic ``f`` given constant-term first.
 
     Elements are polynomials of degree < deg(f); element ``i`` has the
     base-p digits of ``i`` as coefficients (digit j = coefficient of x^j).
+
+    Addition is digitwise, so its table is that of Z_p^k with the top digit
+    most significant. Rows 0..p-1 of the multiplication table are scalar
+    multiples. Every other element is i = a0 + x*a' with a0 = i % p and
+    a' = i // p < i, so by Horner's rule row i is row a0 plus x times
+    row a'; multiplying by x shifts the digits up and replaces the carried
+    x^k by -(c0 + c1 x + ... + c_{k-1} x^{k-1}).
     """
     if not _is_prime(p):
         raise InvalidModulusError(f"polynomial modulus must be prime, got {p}")
@@ -181,40 +195,22 @@ def build_poly_quotient(p: int, coeffs: Sequence[int], *, max_order: int = DEFAU
     order = p**k
     _check_order_cap(order, max_order)
 
-    digits = np.zeros((order, k), dtype=np.intp)
-    v = np.arange(order, dtype=np.intp)
-    for j in range(k):
-        digits[:, j] = v % p
-        v = v // p
-    powers = p ** np.arange(k, dtype=np.intp)
+    digit = np.arange(p, dtype=np.intp)
+    add = zp_add = (digit[:, None] + digit[None, :]) % p
+    for _ in range(k - 1):
+        add = _pair_table(add, zp_add)
 
-    add = np.empty((order, order), dtype=np.intp)
-    step = max(1, _CHUNK_CELLS // (order * k))
-    for lo in range(0, order, step):
-        hi = min(order, lo + step)
-        add[lo:hi] = ((digits[lo:hi, None, :] + digits[None, :, :]) % p) @ powers
+    idx = np.arange(order, dtype=np.intp)
+    mul = np.zeros((order, order), dtype=np.intp)
+    for c in range(1, p):
+        mul[c] = add[mul[c - 1], idx]
+    top = p ** (k - 1)
+    h = sum(((-c) % p) * p**j for j, c in enumerate(cs[:k]))
+    times_x = add[(idx % top) * p, mul[idx // top, h]]
+    for i in range(p, order):
+        mul[i] = add[mul[i % p], times_x[mul[i // p]]]
 
-    # x^m mod f for m < 2k-1; x^k == -(c0 + c1 x + ... + c_{k-1} x^{k-1})
-    red = np.zeros((2 * k - 1, k), dtype=np.intp)
-    for m in range(k):
-        red[m, m] = 1
-    head = np.asarray([(-c) % p for c in cs[:k]], dtype=np.intp)
-    for m in range(k, 2 * k - 1):
-        prev = red[m - 1]
-        shifted = np.zeros(k, dtype=np.intp)
-        shifted[1:] = prev[: k - 1]
-        red[m] = (shifted + prev[k - 1] * head) % p
-
-    mul = np.empty((order, order), dtype=np.intp)
-    width = 2 * k - 1
-    step = max(1, _CHUNK_CELLS // (order * width))
-    for lo in range(0, order, step):
-        hi = min(order, lo + step)
-        conv = np.zeros((hi - lo, order, width), dtype=np.intp)
-        for j in range(k):
-            conv[:, :, j : j + k] += digits[lo:hi, j][:, None, None] * digits[None, :, :]
-        mul[lo:hi] = (((conv @ red) % p) @ powers)
-
+    digits = idx[:, None] // p ** np.arange(k, dtype=np.intp) % p
     names = tuple(_poly_name(digits[i], p) for i in range(order))
     spec = f"polyq:{p}:{','.join(str(c) for c in cs)}"
     return FiniteRing(add, mul, names, spec, zero=0, one=1)
@@ -225,8 +221,8 @@ def direct_product(a: FiniteRing, b: FiniteRing, *, max_order: int = DEFAULT_MAX
     order = a.order * b.order
     _check_order_cap(order, max_order)
     nb = b.order
-    add = (a.add_table[:, None, :, None] * nb + b.add_table[None, :, None, :]).reshape(order, order)
-    mul = (a.mul_table[:, None, :, None] * nb + b.mul_table[None, :, None, :]).reshape(order, order)
+    add = _pair_table(a.add_table, b.add_table)
+    mul = _pair_table(a.mul_table, b.mul_table)
     names = tuple(f"({x},{y})" for x in a.element_names for y in b.element_names)
     zero = a.zero * nb + b.zero
     one = a.one * nb + b.one

@@ -16,6 +16,8 @@ counterexample can be replayed in isolation.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +33,6 @@ from .errors import (
     ImproperIdealError,
     InvalidElementError,
     SpecParseError,
-    ZdglabError,
 )
 from .graphs import SimpleGraph, first_class_split, gamma, gamma_ideal, row_classes
 from .ideals import (
@@ -256,7 +257,7 @@ def check_annihilator_agreement(a: PairAnalysis):
         return False, None
     in_i, gi = a.ideal.mask, a.gi
     # row v: the alphas outside I with alpha * v in I
-    ann = in_i[a.ring.mul_table][np.asarray(gi.vertices, dtype=np.intp)] & ~in_i
+    ann = in_i[a.ring.mul_table[np.asarray(gi.vertices, dtype=np.intp)]] & ~in_i
     split = first_class_split(gi.orth, row_classes(ann))
     if split is None:
         return True, None
@@ -451,11 +452,6 @@ def evaluate_entry(
     return {"spec": ring.spec, "skipped": None, "pairs": pairs}
 
 
-def _evaluate_star(args) -> dict:
-    entry, max_order, ideal_cap, inject_fault = args
-    return evaluate_entry(entry, max_order=max_order, ideal_cap=ideal_cap, inject_fault=inject_fault)
-
-
 def run_catalogue(
     entries,
     *,
@@ -475,17 +471,17 @@ def run_catalogue(
     entries = [e if isinstance(e, CatalogueEntry) else CatalogueEntry(str(e)) for e in entries]
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1
+    evaluate = functools.partial(
+        evaluate_entry, max_order=max_order, ideal_cap=ideal_cap, inject_fault=inject_fault
+    )
     results: list[dict] = []
-    if jobs > 1 and len(entries) > 1:
-        args = [(e, max_order, ideal_cap, inject_fault) for e in entries]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
-            for i, res in enumerate(pool.map(_evaluate_star, args)):
-                results.append(res)
-                if progress is not None:
-                    progress(f"[{i + 1}/{len(entries)}] {res['spec']}: {len(res['pairs'])} pairs")
-    else:
-        for i, entry in enumerate(entries):
-            res = evaluate_entry(entry, max_order=max_order, ideal_cap=ideal_cap, inject_fault=inject_fault)
+    with contextlib.ExitStack() as stack:
+        if jobs > 1 and len(entries) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(entries))))
+            mapped = pool.map(evaluate, entries)
+        else:
+            mapped = map(evaluate, entries)
+        for i, res in enumerate(mapped):
             results.append(res)
             if progress is not None:
                 progress(f"[{i + 1}/{len(entries)}] {res['spec']}: {len(res['pairs'])} pairs")

@@ -3,7 +3,9 @@
 Everything here is computed with plain Python modular arithmetic, naive
 set scans over neighbor sets and member sets, and a brute-force
 isomorphism search -- no library graph or ideal code -- so the tests can
-compare the library against a second, independent route.
+compare the library against a second, independent route. Polynomial
+quotient tables come from the digit convolution that the library's
+Horner-rule builder replaced.
 """
 
 from math import gcd
@@ -11,6 +13,7 @@ from math import gcd
 import numpy as np
 
 from zdglab import CapExceededError, FiniteRing, nilpotents, zero_divisors
+from zdglab.rings import _poly_name
 
 ISO_SEARCH_CAP = 12
 
@@ -269,3 +272,56 @@ def brute_force_ideals(r: FiniteRing) -> set[frozenset[int]]:
     ).any(axis=(1, 2))
     mul_closed = ~(subsets[:, None, :] & ~subsets[:, r.mul_table]).any(axis=(1, 2))
     return {frozenset(np.flatnonzero(s).tolist()) for s in subsets[add_closed & mul_closed]}
+
+
+# --- polynomial quotients by digit convolution --------------------------------
+
+_CONV_CHUNK_CELLS = 1 << 22
+
+
+def conv_poly_quotient_tables(p: int, coeffs) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], str]:
+    """(add_table, mul_table, element_names, spec) of Z_p[x]/(f), f monic
+    and given constant-term first, with no argument checks: sums are
+    digitwise mod p, and products convolve the digit vectors and reduce
+    x^m for m < 2k-1 through a matrix of residues mod f."""
+    cs = [int(c) for c in coeffs]
+    k = len(cs) - 1
+    order = p**k
+
+    digits = np.zeros((order, k), dtype=np.intp)
+    v = np.arange(order, dtype=np.intp)
+    for j in range(k):
+        digits[:, j] = v % p
+        v = v // p
+    powers = p ** np.arange(k, dtype=np.intp)
+
+    add = np.empty((order, order), dtype=np.intp)
+    step = max(1, _CONV_CHUNK_CELLS // (order * k))
+    for lo in range(0, order, step):
+        hi = min(order, lo + step)
+        add[lo:hi] = ((digits[lo:hi, None, :] + digits[None, :, :]) % p) @ powers
+
+    # x^m mod f for m < 2k-1; x^k == -(c0 + c1 x + ... + c_{k-1} x^{k-1})
+    red = np.zeros((2 * k - 1, k), dtype=np.intp)
+    for m in range(k):
+        red[m, m] = 1
+    head = np.asarray([(-c) % p for c in cs[:k]], dtype=np.intp)
+    for m in range(k, 2 * k - 1):
+        prev = red[m - 1]
+        shifted = np.zeros(k, dtype=np.intp)
+        shifted[1:] = prev[: k - 1]
+        red[m] = (shifted + prev[k - 1] * head) % p
+
+    mul = np.empty((order, order), dtype=np.intp)
+    width = 2 * k - 1
+    step = max(1, _CONV_CHUNK_CELLS // (order * width))
+    for lo in range(0, order, step):
+        hi = min(order, lo + step)
+        conv = np.zeros((hi - lo, order, width), dtype=np.intp)
+        for j in range(k):
+            conv[:, :, j : j + k] += digits[lo:hi, j][:, None, None] * digits[None, :, :]
+        mul[lo:hi] = ((conv @ red) % p) @ powers
+
+    names = tuple(_poly_name(digits[i], p) for i in range(order))
+    spec = f"polyq:{p}:{','.join(str(c) for c in cs)}"
+    return add, mul, names, spec

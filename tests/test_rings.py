@@ -20,6 +20,7 @@ from zdglab import (
     annihilator,
     build_poly_quotient,
     build_zn,
+    default_catalogue,
     direct_product,
     generate_ideal,
     is_reduced,
@@ -31,7 +32,14 @@ from zdglab import (
     zero_divisors,
 )
 
-from oracles import is_isomorphic_small, squarefree, zn_nilpotents, zn_units, zn_zero_divisors
+from oracles import (
+    conv_poly_quotient_tables,
+    is_isomorphic_small,
+    squarefree,
+    zn_nilpotents,
+    zn_units,
+    zn_zero_divisors,
+)
 
 
 def test_build_zn_basics():
@@ -270,3 +278,17 @@ def test_poly_quotient_arithmetic_spot_checks():
     # GF(4): x * x = x+1 for f = x^2+x+1
     f = build_poly_quotient(2, [1, 1, 1])
     assert f.mul_table[2, 2] == 3
+
+
+def test_poly_quotient_matches_convolution_oracle():
+    specs = [e.spec for e in default_catalogue() if e.spec.startswith("polyq:")]
+    specs += ["polyq:2:0,0,0,0,0,0,0,0,0,1", "polyq:5:2,0,0,0,1", "polyq:7:3,1,0,1", "polyq:3:0,1"]
+    for spec in specs:
+        _, p, coeffs = spec.split(":")
+        p, coeffs = int(p), [int(c) for c in coeffs.split(",")]
+        r = build_poly_quotient(p, coeffs)
+        add, mul, names, expected_spec = conv_poly_quotient_tables(p, coeffs)
+        assert np.array_equal(r.add_table, add), spec
+        assert np.array_equal(r.mul_table, mul), spec
+        assert r.element_names == names, spec
+        assert r.spec == expected_spec == spec

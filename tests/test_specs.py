@@ -100,8 +100,8 @@ def test_build_errors():
     with pytest.raises(InvalidElementError):
         build_ring("quot(Zn:6;7)")
     with pytest.raises(CapExceededError):
-        build_ring("Zn:9999")
-    build_ring("Zn:9999", max_order=10000)
+        build_ring("Zn:4097")
+    assert build_ring("Zn:4097", max_order=4097).order == 4097
 
 
 def test_ring_spec_field_is_canonical():
