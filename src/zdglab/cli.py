@@ -14,13 +14,14 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .errors import ZdglabError
+from .errors import SpecParseError, ZdglabError
 from .graphs import gamma_ideal
 from .ideals import DEFAULT_IDEAL_ENUMERATION_CAP, all_ideals, generate_ideal, is_prime, is_radical
 from .rings import DEFAULT_MAX_ORDER, is_reduced, is_von_neumann_regular, nilpotents, zero_divisors
-from .specs import build_ring
+from .specs import build_ring, parse_generators
 from .verifier import (
     analyze_pair,
+    classification_cases,
     default_catalogue,
     parse_catalogue_text,
     run_catalogue,
@@ -28,15 +29,10 @@ from .verifier import (
 
 
 def _gens_arg(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
     try:
-        return tuple(int(tok.strip()) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"ideal generators must be a comma-separated list of element indices, got {text!r}"
-        )
+        return parse_generators(text)
+    except SpecParseError as e:
+        raise argparse.ArgumentTypeError(f"ideal generators {text!r}: {e}") from e
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -121,11 +117,8 @@ def cmd_graph(args) -> int:
 def _classification_case(verdict) -> str:
     if verdict.ideal_is_prime or len(verdict.ideal_members) == 1:
         return "n/a"
-    if verdict.quotient_z_count == 2 and len(verdict.ideal_members) == 2:
-        return "1"
-    if verdict.quotient_graph_complemented and verdict.ideal_is_radical:
-        return "2"
-    return "none"
+    case1, case2 = classification_cases(verdict)
+    return "1" if case1 else "2" if case2 else "none"
 
 
 def cmd_check(args) -> int:
@@ -191,7 +184,7 @@ def cmd_verify(args) -> int:
         description=description,
         max_order=args.max_order,
         ideal_cap=args.ideal_cap,
-        jobs=1 if args.seedless else args.jobs,
+        jobs=args.jobs,
         inject_fault=args.inject_fault,
         progress=progress,
     )
@@ -250,8 +243,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     verify.add_argument("--ideal-cap", type=int, default=DEFAULT_IDEAL_ENUMERATION_CAP, metavar="N")
     verify.add_argument("--jobs", type=int, default=0, metavar="N",
                         help="parallel workers (0 = all processors)")
-    verify.add_argument("--seedless", action="store_true",
-                        help="force single-threaded evaluation for reproducible timing")
     verify.add_argument("--quiet", action="store_true", help="suppress per-entry progress on stderr")
     verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)

@@ -121,9 +121,6 @@ class SimpleGraph:
         vs = self.vertices
         return [(vs[i], vs[j]) for i, j in self._edge_positions()]
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._pos
-
     def _index(self, v: int) -> int:
         if v not in self._pos:
             raise UnknownVertexError(f"vertex {v!r} is not in the graph")

@@ -72,9 +72,6 @@ class FiniteRing:
         self.element_names = names
         self.spec = str(spec)
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self) -> str:
         return f"FiniteRing({self.spec!r}, order={self.order})"
 
@@ -113,9 +110,6 @@ class ElementSet:
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.mask))
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.ring.element_names[x] for x in self)
 
 
 def _is_prime(n: int) -> bool:

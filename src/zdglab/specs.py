@@ -1,16 +1,22 @@
-"""Recursive-descent parser and canonical formatter for ring specs.
+"""Recursive-descent parser and canonical formatter for ring specs,
+catalogue lines and generator lists: the one parser of outside input.
 
 Grammar (whitespace between tokens is ignored):
 
-    spec := "Zn:" INT
-          | "prod(" spec "," spec ")"
-          | "polyq:" INT ":" INT ("," INT)*
-          | "quot(" spec ";" INT ("," INT)* ")"
+    spec       := "Zn:" INT
+                | "prod(" spec "," spec ")"
+                | "polyq:" INT ":" INT ("," INT)*
+                | "quot(" spec ";" INT ("," INT)* ")"
+    generators := empty | INT ("," INT)*
+    line       := spec ("[" generators "]")*
 
 ``polyq`` coefficients are constant-term first and must already be reduced
 mod p with leading coefficient 1. ``quot`` generators are element indices
 of the base ring (products index row-major, polynomial quotients by base-p
-digits). Error positions are byte offsets into the original string.
+digits). A ``polyq`` coefficient list ends at a comma followed by a spec,
+so ``prod(polyq:2:1,1,Zn:3)`` is a product. INT is a run of the ASCII
+digits 0-9, so no sign is accepted. Error positions are byte offsets into
+the original string.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ImproperIdealError, InvalidElementError, SpecParseError
+from .errors import ImproperIdealError, SpecParseError
 from .ideals import generate_ideal, quotient_ring
 from .rings import (
     DEFAULT_MAX_ORDER,
@@ -56,16 +62,6 @@ class QuotNode:
 SpecNode = Union[ZnNode, ProdNode, PolyqNode, QuotNode]
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    raw: str
-    node: SpecNode
-
-    @property
-    def canonical(self) -> str:
-        return format_spec(self.node)
-
-
 def format_spec(node: SpecNode) -> str:
     """Canonical text for a spec tree (no whitespace)."""
     if isinstance(node, ZnNode):
@@ -80,6 +76,9 @@ def format_spec(node: SpecNode) -> str:
     raise TypeError(f"not a spec node: {node!r}")
 
 
+_SPEC_STARTS = ("Zn:", "prod(", "polyq:", "quot(")
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -89,9 +88,12 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def literal(self, token: str) -> bool:
+    def at(self, tokens: str | tuple[str, ...]) -> bool:
         self.skip_ws()
-        if self.text.startswith(token, self.pos):
+        return self.text.startswith(tokens, self.pos)
+
+    def literal(self, token: str) -> bool:
+        if self.at(token):
             self.pos += len(token)
             return True
         return False
@@ -103,17 +105,33 @@ class _Parser:
     def integer(self) -> tuple[int, int]:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise SpecParseError("expected an integer", start)
         return int(self.text[start : self.pos]), start
 
-    def int_list(self, sep: str = ",") -> list[tuple[int, int]]:
+    def int_list(self, *, stop_at_spec: bool = False) -> list[tuple[int, int]]:
         items = [self.integer()]
-        while self.literal(sep):
+        while True:
+            comma = self.pos
+            if not self.literal(",") or (stop_at_spec and self.at(_SPEC_STARTS)):
+                self.pos = comma
+                return items
             items.append(self.integer())
-        return items
+
+    def generators(self) -> tuple[int, ...]:
+        if self.at("]") or self.pos == len(self.text):
+            return ()
+        return tuple(g for g, _ in self.int_list())
+
+    def catalogue_line(self) -> tuple[SpecNode, tuple[tuple[int, ...], ...] | None]:
+        node = self.spec()
+        filters: list[tuple[int, ...]] = []
+        while self.literal("["):
+            filters.append(self.generators())
+            self.expect("]")
+        return node, tuple(dict.fromkeys(filters)) if filters else None
 
     def spec(self) -> SpecNode:
         self.skip_ws()
@@ -133,7 +151,7 @@ class _Parser:
             if not _is_prime(p):
                 raise SpecParseError("polynomial modulus must be prime", p_at)
             self.expect(":")
-            coeffs = self.int_list()
+            coeffs = self.int_list(stop_at_spec=True)
             if len(coeffs) < 2:
                 raise SpecParseError("quotient polynomial must have degree at least 1", coeffs[0][1])
             for c, at in coeffs:
@@ -151,25 +169,42 @@ class _Parser:
         raise SpecParseError("expected a ring spec: Zn:<n>, prod(...), polyq:..., or quot(...)", self.pos)
 
 
-def parse_ring_spec(text: str) -> RingSpec:
-    """Parse a spec string; raises SpecParseError with a byte offset."""
+def _parse_all(text: str, rule):
     parser = _Parser(text)
-    node = parser.spec()
+    result = rule(parser)
     parser.skip_ws()
     if parser.pos != len(text):
         raise SpecParseError("unexpected trailing input", parser.pos)
-    return RingSpec(raw=text, node=node)
+    return result
 
 
-def build_ring(spec: RingSpec | SpecNode | str, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
+def parse_ring_spec(text: str) -> SpecNode:
+    """Parse a spec string; raises SpecParseError with a byte offset."""
+    return _parse_all(text, _Parser.spec)
+
+
+def parse_generators(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated list of element indices (empty text gives ())."""
+    return _parse_all(text, _Parser.generators)
+
+
+def parse_catalogue_line(text: str) -> tuple[SpecNode, tuple[tuple[int, ...], ...] | None]:
+    """Parse a spec followed by zero or more ``[generators]`` ideal filters.
+
+    Repeated filters are dropped, first occurrence kept; a line without
+    filters gives None (every proper ideal).
+    """
+    return _parse_all(text, _Parser.catalogue_line)
+
+
+def build_ring(spec: SpecNode | str, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
     """Construct the ring a spec describes.
 
     ``quot`` nodes build the base ring, generate the ideal from the listed
-    element indices, and return the quotient.
+    element indices (InvalidElementError if one is out of range), and
+    return the quotient.
     """
-    if isinstance(spec, str):
-        spec = parse_ring_spec(spec)
-    node = spec.node if isinstance(spec, RingSpec) else spec
+    node = parse_ring_spec(spec) if isinstance(spec, str) else spec
     if isinstance(node, ZnNode):
         return build_zn(node.n, max_order=max_order)
     if isinstance(node, PolyqNode):
@@ -180,11 +215,6 @@ def build_ring(spec: RingSpec | SpecNode | str, *, max_order: int = DEFAULT_MAX_
         return direct_product(left, right, max_order=max_order)
     if isinstance(node, QuotNode):
         base = build_ring(node.base, max_order=max_order)
-        for g in node.generators:
-            if not (0 <= g < base.order):
-                raise InvalidElementError(
-                    f"generator {g} out of range for ring {base.spec} of order {base.order}"
-                )
         ideal = generate_ideal(base, node.generators)
         if not ideal.is_proper:
             raise ImproperIdealError(f"generators {node.generators} generate the whole ring {base.spec}")

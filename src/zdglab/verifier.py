@@ -51,7 +51,7 @@ from .rings import (
     total_quotient_ring,
     zero_divisors,
 )
-from .specs import build_ring, parse_ring_spec
+from .specs import build_ring, format_spec, parse_catalogue_line
 
 TOOL_VERSION = __version__
 ORDERING_KEY = "(ring_spec, ideal_members)"
@@ -208,6 +208,14 @@ def check_complemented_transfer(a: PairAnalysis):
     return True, None
 
 
+def classification_cases(v: PropertyVerdict) -> tuple[bool, bool]:
+    """The two cases of the classification: (1) |Z(R/I)| = 2 and |I| = 2;
+    (2) Gamma(R/I) complemented and I radical."""
+    case1 = v.quotient_z_count == 2 and len(v.ideal_members) == 2
+    case2 = v.quotient_graph_complemented and v.ideal_is_radical
+    return case1, case2
+
+
 def check_classification_cases(a: PairAnalysis):
     """For nonzero non-prime I, Gamma_I(R) is complemented exactly when one
     of two mutually exclusive cases holds: (1) |Z(R/I)| = 2 and |I| = 2;
@@ -215,8 +223,7 @@ def check_classification_cases(a: PairAnalysis):
     applicable = not a.ideal.is_zero and not a.verdict.ideal_is_prime
     if not applicable:
         return False, None
-    case1 = a.verdict.quotient_z_count == 2 and len(a.ideal) == 2
-    case2 = a.verdict.quotient_graph_complemented and a.verdict.ideal_is_radical
+    case1, case2 = classification_cases(a.verdict)
     if case1 and case2:
         return True, {"case1": True, "case2": True, "reason": "cases not mutually exclusive"}
     if a.verdict.gi_complemented != (case1 or case2):
@@ -373,46 +380,19 @@ def parse_catalogue_text(text: str) -> list[CatalogueEntry]:
         prod(Zn:2,Zn:3)
 
     Without brackets every proper ideal of the ring is analyzed; ``[]``
-    denotes the zero ideal.
+    denotes the zero ideal. The grammar is ``specs.parse_catalogue_line``;
+    errors name the line and the offset within it.
     """
     entries: list[CatalogueEntry] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
-        bracket = line.find("[")
-        spec_text = line if bracket < 0 else line[:bracket]
         try:
-            spec = parse_ring_spec(spec_text.strip())
+            node, filters = parse_catalogue_line(line)
         except SpecParseError as e:
             raise CatalogueError(f"line {lineno}: {e}") from e
-        filters: list[tuple[int, ...]] | None = None
-        if bracket >= 0:
-            filters = []
-            rest = line[bracket:]
-            while rest:
-                rest = rest.lstrip()
-                if not rest:
-                    break
-                if not rest.startswith("["):
-                    raise CatalogueError(f"line {lineno}: expected '[' in ideal filter list")
-                end = rest.find("]")
-                if end < 0:
-                    raise CatalogueError(f"line {lineno}: unterminated ideal filter")
-                inner = rest[1:end].strip()
-                if inner:
-                    try:
-                        gens = tuple(int(tok.strip()) for tok in inner.split(","))
-                    except ValueError as e:
-                        raise CatalogueError(f"line {lineno}: bad generator list {inner!r}") from e
-                else:
-                    gens = ()
-                filters.append(gens)
-                rest = rest[end + 1 :]
-            filters = list(dict.fromkeys(filters))
-        entries.append(
-            CatalogueEntry(spec.canonical, tuple(filters) if filters is not None else None)
-        )
+        entries.append(CatalogueEntry(format_spec(node), filters))
     return entries
 
 
@@ -438,7 +418,6 @@ def evaluate_entry(
                 if not ideal.is_proper:
                     raise ImproperIdealError(f"filter {list(gens)} generates the whole ring")
                 ideals.append(ideal)
-            ideals.sort(key=lambda i: i.sorted_members())
     except (CapExceededError, SpecParseError, InvalidElementError, ImproperIdealError) as e:
         return {"spec": entry.spec, "skipped": str(e), "pairs": []}
     pairs = []

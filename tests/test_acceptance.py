@@ -243,8 +243,8 @@ def test_criterion_7_determinism_and_exit_codes(tmp_path, capsys):
     cat.write_text(DETERMINISM_CATALOGUE)
 
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    code1 = main(["verify", "--catalogue", str(cat), "--seedless", "--quiet", "--out", str(r1)])
-    code2 = main(["verify", "--catalogue", str(cat), "--seedless", "--quiet", "--out", str(r2)])
+    code1 = main(["verify", "--catalogue", str(cat), "--jobs", "1", "--quiet", "--out", str(r1)])
+    code2 = main(["verify", "--catalogue", str(cat), "--jobs", "1", "--quiet", "--out", str(r2)])
     verify_identical = r1.read_bytes() == r2.read_bytes()
 
     g1, g2 = tmp_path / "g1.dot", tmp_path / "g2.dot"
@@ -257,7 +257,7 @@ def test_criterion_7_determinism_and_exit_codes(tmp_path, capsys):
 
     rf = tmp_path / "fault.json"
     fault_code = main(
-        ["verify", "--catalogue", str(cat), "--seedless", "--quiet", "--inject-fault", "--out", str(rf)]
+        ["verify", "--catalogue", str(cat), "--jobs", "1", "--quiet", "--inject-fault", "--out", str(rf)]
     )
     fault_report = json.loads(rf.read_text())
     capsys.readouterr()

@@ -99,6 +99,15 @@ def test_graph_improper_ideal(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_graph_bad_ideal_names_offset(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["graph", "Zn:8", "--ideal", "4,x"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "expected an integer (at offset 2)" in err
+
+
 def test_check_case_one(capsys):
     assert main(["check", "Zn:8", "--ideal", "4"]) == 0
     out, _ = capsys.readouterr()
@@ -135,7 +144,7 @@ def test_verify_single_pair_catalogue(tmp_path, capsys):
     cat = tmp_path / "cat.txt"
     cat.write_text("Zn:8 [4]\n")
     out_path = tmp_path / "report.json"
-    code = main(["verify", "--catalogue", str(cat), "--seedless", "--quiet", "--out", str(out_path)])
+    code = main(["verify", "--catalogue", str(cat), "--jobs", "1", "--quiet", "--out", str(out_path)])
     out, err = capsys.readouterr()
     assert code == 0
     assert out == ""
@@ -151,7 +160,7 @@ def test_verify_fault_injection_exit_code(tmp_path, capsys):
     cat.write_text("Zn:8 [4]\n")
     out_path = tmp_path / "report.json"
     code = main(
-        ["verify", "--catalogue", str(cat), "--seedless", "--quiet", "--inject-fault", "--out", str(out_path)]
+        ["verify", "--catalogue", str(cat), "--jobs", "1", "--quiet", "--inject-fault", "--out", str(out_path)]
     )
     capsys.readouterr()
     assert code == 1
@@ -162,7 +171,7 @@ def test_verify_fault_injection_exit_code(tmp_path, capsys):
 def test_verify_text_summary(tmp_path, capsys):
     cat = tmp_path / "cat.txt"
     cat.write_text("Zn:12\n")
-    code = main(["verify", "--catalogue", str(cat), "--seedless", "--quiet", "--format", "text"])
+    code = main(["verify", "--catalogue", str(cat), "--jobs", "1", "--quiet", "--format", "text"])
     out, err = capsys.readouterr()
     assert code == 0
     assert "failures total: 0" in out
@@ -184,7 +193,7 @@ def test_verify_bad_catalogue_line(tmp_path, capsys):
 def test_verify_progress_goes_to_stderr(tmp_path, capsys):
     cat = tmp_path / "cat.txt"
     cat.write_text("Zn:8\nZn:12\n")
-    code = main(["verify", "--catalogue", str(cat), "--seedless", "--out", str(tmp_path / "r.json")])
+    code = main(["verify", "--catalogue", str(cat), "--jobs", "1", "--out", str(tmp_path / "r.json")])
     out, err = capsys.readouterr()
     assert code == 0
     assert out == ""
