@@ -38,7 +38,7 @@ class UnknownVertexError(ZdglabError, ValueError):
 
 
 class SpecParseError(ZdglabError, ValueError):
-    """Ring-spec string rejected; `position` is the byte offset of the offending token."""
+    """Ring-spec string rejected; `position` is the character offset of the offending token."""
 
     def __init__(self, message: str, position: int):
         super().__init__(message)

@@ -15,8 +15,8 @@ mod p with leading coefficient 1. ``quot`` generators are element indices
 of the base ring (products index row-major, polynomial quotients by base-p
 digits). A ``polyq`` coefficient list ends at a comma followed by a spec,
 so ``prod(polyq:2:1,1,Zn:3)`` is a product. INT is a run of the ASCII
-digits 0-9, so no sign is accepted. Error positions are byte offsets into
-the original string.
+digits 0-9, so no sign is accepted. Error positions are character offsets
+into the original string.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def _parse_all(text: str, rule):
 
 
 def parse_ring_spec(text: str) -> SpecNode:
-    """Parse a spec string; raises SpecParseError with a byte offset."""
+    """Parse a spec string; raises SpecParseError with a character offset."""
     return _parse_all(text, _Parser.spec)
 
 

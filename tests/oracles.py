@@ -5,14 +5,16 @@ set scans over neighbor sets and member sets, and a brute-force
 isomorphism search -- no library graph or ideal code -- so the tests can
 compare the library against a second, independent route. Polynomial
 quotient tables come from the digit convolution that the library's
-Horner-rule builder replaced.
+Horner-rule builder replaced, and ring axioms are checked by the O(n^3)
+scan over every triple that the library's generator-based validator
+replaced.
 """
 
 from math import gcd
 
 import numpy as np
 
-from zdglab import CapExceededError, FiniteRing, nilpotents, zero_divisors
+from zdglab import CapExceededError, FiniteRing, RingConsistencyError, nilpotents, zero_divisors
 from zdglab.rings import _poly_name
 
 ISO_SEARCH_CAP = 12
@@ -325,3 +327,45 @@ def conv_poly_quotient_tables(p: int, coeffs) -> tuple[np.ndarray, np.ndarray, t
     names = tuple(_poly_name(digits[i], p) for i in range(order))
     spec = f"polyq:{p}:{','.join(str(c) for c in cs)}"
     return add, mul, names, spec
+
+
+# --- ring axioms by a scan over every triple ----------------------------------
+
+_AXIOM_CHUNK_CELLS = 1 << 22
+
+
+def cubic_validate_ring_axioms(r: FiniteRing) -> None:
+    """Check every commutative-ring axiom on every pair and triple of
+    elements, in chunks of rows to bound memory; raises RingConsistencyError
+    on the first failure found."""
+    n, A, M = r.order, r.add_table, r.mul_table
+    idx = np.arange(n, dtype=np.intp)
+    if not (A == A.T).all():
+        i, j = np.argwhere(A != A.T)[0]
+        raise RingConsistencyError(f"addition not commutative at ({i},{j})")
+    if not (M == M.T).all():
+        i, j = np.argwhere(M != M.T)[0]
+        raise RingConsistencyError(f"multiplication not commutative at ({i},{j})")
+    if not (A[r.zero] == idx).all():
+        raise RingConsistencyError("zero is not an additive identity")
+    if not (M[r.one] == idx).all():
+        raise RingConsistencyError("one is not a multiplicative identity")
+    if not (A == r.zero).any(axis=1).all():
+        x = int(np.flatnonzero(~(A == r.zero).any(axis=1))[0])
+        raise RingConsistencyError(f"element {x} has no additive inverse")
+
+    step = max(1, _AXIOM_CHUNK_CELLS // (n * n))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        for table, label in ((A, "addition"), (M, "multiplication")):
+            lhs = table[table[lo:hi]]
+            rhs = table[lo:hi][:, table]
+            if not (lhs == rhs).all():
+                i, b, c = np.argwhere(lhs != rhs)[0]
+                raise RingConsistencyError(f"{label} not associative at ({lo + i},{b},{c})")
+        mrows = M[lo:hi]
+        lhs = mrows[:, A]
+        rhs = A[mrows[:, :, None], mrows[:, None, :]]
+        if not (lhs == rhs).all():
+            i, b, c = np.argwhere(lhs != rhs)[0]
+            raise RingConsistencyError(f"distributivity fails at ({lo + i},{b},{c})")
