@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ImproperIdealError, UnknownVertexError
 from .ideals import Ideal
-from .rings import FiniteRing
+from .rings import FiniteRing, table_mask
 
 
 def _dot_quote(s: str) -> str:
@@ -200,9 +200,9 @@ class SimpleGraph:
         return f"SimpleGraph({self.name!r}, vertices={self.vertex_count}, edges={self.edge_count})"
 
 
-def _ideal_graph(r: FiniteRing, in_i: np.ndarray, name: str) -> SimpleGraph:
-    """``gamma_ideal`` for the ideal with membership mask ``in_i``."""
-    prod_in = in_i[r.mul_table]
+def _ideal_graph(r: FiniteRing, in_i: np.ndarray, prod_in: np.ndarray, name: str) -> SimpleGraph:
+    """``gamma_ideal`` for the ideal with membership mask ``in_i``, given the
+    order x order mask ``prod_in`` of the products x*y that lie in it."""
     outside = ~in_i
     varr = np.flatnonzero(outside & (prod_in & outside[None, :]).any(axis=1))
     adj = prod_in[np.ix_(varr, varr)]
@@ -214,7 +214,7 @@ def _ideal_graph(r: FiniteRing, in_i: np.ndarray, name: str) -> SimpleGraph:
 def gamma(r: FiniteRing) -> SimpleGraph:
     """The zero-divisor graph: vertices are the nonzero zero-divisors,
     distinct x and y adjacent exactly when x*y = 0."""
-    return _ideal_graph(r, np.arange(r.order) == r.zero, f"Gamma({r.spec})")
+    return _ideal_graph(r, np.arange(r.order) == r.zero, r.mul_table == r.zero, f"Gamma({r.spec})")
 
 
 def gamma_ideal(r: FiniteRing, i: Ideal) -> SimpleGraph:
@@ -225,4 +225,4 @@ def gamma_ideal(r: FiniteRing, i: Ideal) -> SimpleGraph:
         raise ImproperIdealError("the ideal-based graph needs a proper ideal")
     gens = i.generators if i.generators else (r.zero,)
     name = f"Gamma_{{{','.join(str(g) for g in gens)}}}({r.spec})"
-    return _ideal_graph(r, i.mask, name)
+    return _ideal_graph(r, i.mask, table_mask(r.mul_table, i.mask), name)

@@ -1,8 +1,11 @@
 """Finite commutative rings with identity, stored as dense Cayley tables.
 
 Elements are the integers 0..order-1; ``add_table`` and ``mul_table`` are
-read-only order x order numpy arrays, so every predicate in this module is
-an explicit exhaustive scan over those tables.
+read-only order x order numpy arrays in the narrowest unsigned dtype that
+holds every element index (uint8 up to order 256, uint16 up to 65536), so
+every predicate in this module is an explicit exhaustive scan over those
+tables. The builders produce that dtype directly, with no order x order
+int64 temporary.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CapExceededError,
@@ -22,30 +26,47 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 4096
+# cells per row block in ``build_zn`` and ``table_mask``: keeps each
+# temporary small next to the tables
+_BLOCK_CELLS = 1 << 16
+
+
+def _table_dtype(order: int) -> np.dtype:
+    """The dtype of both tables of a ring of this order: the narrowest
+    unsigned integer dtype holding 0..order-1."""
+    return np.min_scalar_type(order - 1)
 
 
 class FiniteRing:
     """A finite commutative ring with nonzero identity.
 
-    Construction only checks that ``zero`` and ``one`` act as identities and
-    that table values are in range; ``validate_ring_axioms`` checks every
-    axiom exactly, in O(n^2 * k) for k additive generators. Instances are
-    immutable after construction (the tables are locked), so they are safe
-    to share between threads.
+    The tables may come in any integer dtype; they are stored contiguous in
+    ``np.min_scalar_type(order - 1)`` (a contiguous table already in that
+    dtype is kept, not copied). Construction only checks that the entries
+    are integers in range, before narrowing, and that ``zero`` and ``one``
+    act as identities; ``validate_ring_axioms`` checks every axiom exactly,
+    in O(n^2 * k) for k additive generators. Instances are immutable after
+    construction (the tables are locked), so they are safe to share between
+    threads.
     """
 
     __slots__ = ("order", "zero", "one", "add_table", "mul_table", "element_names", "spec")
 
     def __init__(self, add_table, mul_table, element_names, spec: str, zero: int, one: int):
-        add = np.ascontiguousarray(np.asarray(add_table, dtype=np.intp))
-        mul = np.ascontiguousarray(np.asarray(mul_table, dtype=np.intp))
+        add = np.asarray(add_table)
+        mul = np.asarray(mul_table)
         n = int(add.shape[0]) if add.ndim == 2 else 0
         if n < 2:
             raise InvalidOrderError("a ring needs at least two elements (nonzero identity)")
         if add.shape != (n, n) or mul.shape != (n, n):
             raise RingConsistencyError("operation tables must be square and equally sized")
+        if add.dtype.kind not in "iu" or mul.dtype.kind not in "iu":
+            raise RingConsistencyError(f"table entries must be integers, got {add.dtype} and {mul.dtype}")
         if add.min() < 0 or add.max() >= n or mul.min() < 0 or mul.max() >= n:
             raise RingConsistencyError("table entries must be element indices in 0..order-1")
+        dtype = _table_dtype(n)
+        add = np.ascontiguousarray(add, dtype=dtype)
+        mul = np.ascontiguousarray(mul, dtype=dtype)
         zero = int(zero)
         one = int(one)
         if not (0 <= zero < n and 0 <= one < n):
@@ -128,14 +149,32 @@ def _check_order_cap(order: int, max_order: int) -> None:
         raise CapExceededError(f"ring order {order} exceeds the cap of {max_order}")
 
 
+def _cyclic_table(n: int, dtype: np.dtype) -> np.ndarray:
+    """The addition table of Z_n as a read-only view: row i is the window
+    i..i+n-1 of 0..n-1, 0..n-1, so it needs no sum and no division."""
+    idx = np.arange(n, dtype=dtype)
+    return sliding_window_view(np.concatenate([idx, idx]), n)[:n]
+
+
 def build_zn(n: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
-    """The integers modulo ``n``, with element ``i`` named ``"i"``."""
+    """The integers modulo ``n``, with element ``i`` named ``"i"``.
+
+    Products i*j are formed in row blocks of the narrowest unsigned dtype
+    that holds (n-1)^2, reduced mod n and stored into the table.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise InvalidOrderError(f"ring order must be an integer >= 2, got {n!r}")
     _check_order_cap(n, max_order)
-    idx = np.arange(n, dtype=np.intp)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    dtype = _table_dtype(n)
+    add = _cyclic_table(n, dtype)
+    mul = np.empty((n, n), dtype=dtype)
+    wide = np.min_scalar_type((n - 1) ** 2)
+    idx = np.arange(n, dtype=wide)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        block = np.multiply.outer(idx[lo : lo + step], idx)
+        block %= wide.type(n)
+        mul[lo : lo + step] = block
     names = tuple(str(i) for i in range(n))
     return FiniteRing(add, mul, names, f"Zn:{n}", zero=0, one=1)
 
@@ -156,9 +195,13 @@ def _poly_name(digits: Sequence[int], p: int) -> str:
 
 def _pair_table(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     """The componentwise table of two operation tables on row-major pairs
-    (i*len(tb) + j)."""
+    (i*len(tb) + j), in the table dtype of the product's order."""
     na, nb = len(ta), len(tb)
-    return (ta[:, None, :, None] * nb + tb[None, :, None, :]).reshape(na * nb, na * nb)
+    dtype = _table_dtype(na * nb)
+    # widen before multiplying: uint8 factors can have a uint16 product, and
+    # ta*nb would wrap in uint8
+    high = ta.astype(dtype) * dtype.type(nb)
+    return (high[:, None, :, None] + tb.astype(dtype)[None, :, None, :]).reshape(na * nb, na * nb)
 
 
 def build_poly_quotient(p: int, coeffs: Sequence[int], *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
@@ -172,7 +215,9 @@ def build_poly_quotient(p: int, coeffs: Sequence[int], *, max_order: int = DEFAU
     multiples. Every other element is i = a0 + x*a' with a0 = i % p and
     a' = i // p < i, so by Horner's rule row i is row a0 plus x times
     row a'; multiplying by x shifts the digits up and replaces the carried
-    x^k by -(c0 + c1 x + ... + c_{k-1} x^{k-1}).
+    x^k by -(c0 + c1 x + ... + c_{k-1} x^{k-1}). The rows with j+1 base-p
+    digits need only rows with at most j, so each digit level is filled
+    in one step.
     """
     if not _is_prime(p):
         raise InvalidModulusError(f"polynomial modulus must be prime, got {p}")
@@ -187,20 +232,20 @@ def build_poly_quotient(p: int, coeffs: Sequence[int], *, max_order: int = DEFAU
     order = p**k
     _check_order_cap(order, max_order)
 
-    digit = np.arange(p, dtype=np.intp)
-    add = zp_add = (digit[:, None] + digit[None, :]) % p
+    add = zp_add = _cyclic_table(p, _table_dtype(p))
     for _ in range(k - 1):
-        add = _pair_table(add, zp_add)
+        add = _pair_table(zp_add, add)  # the new digit on top keeps numpy's inner loop long
 
     idx = np.arange(order, dtype=np.intp)
-    mul = np.zeros((order, order), dtype=np.intp)
+    mul = np.zeros((order, order), dtype=add.dtype)
     for c in range(1, p):
         mul[c] = add[mul[c - 1], idx]
     top = p ** (k - 1)
     h = sum(((-c) % p) * p**j for j, c in enumerate(cs[:k]))
     times_x = add[(idx % top) * p, mul[idx // top, h]]
-    for i in range(p, order):
-        mul[i] = add[mul[i % p], times_x[mul[i // p]]]
+    for lo in (p**j for j in range(1, k)):
+        level = idx[lo : lo * p]
+        mul[lo : lo * p] = add[mul[level % p], times_x[mul[level // p]]]
 
     digits = idx[:, None] // p ** np.arange(k, dtype=np.intp) % p
     names = tuple(_poly_name(digits[i], p) for i in range(order))
@@ -221,6 +266,18 @@ def direct_product(a: FiniteRing, b: FiniteRing, *, max_order: int = DEFAULT_MAX
     return FiniteRing(add, mul, names, f"prod({a.spec},{b.spec})", zero=zero, one=one)
 
 
+def table_mask(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The boolean matrix ``mask[table]``: which entries of an operation
+    table lie in the subset ``mask``. Gathered in row blocks, each cast to
+    intp first; numpy's own cast of a narrow index array makes the plain
+    gather about twice as slow."""
+    out = np.empty(table.shape, dtype=bool)
+    step = max(1, _BLOCK_CELLS // table.shape[1])
+    for lo in range(0, len(table), step):
+        out[lo : lo + step] = mask[table[lo : lo + step].astype(np.intp)]
+    return out
+
+
 def zero_divisors(r: FiniteRing) -> ElementSet:
     """Z(R) = elements x with x*y = 0 for some nonzero y (0 always qualifies)."""
     hits = r.mul_table == r.zero
@@ -236,7 +293,7 @@ def nilpotents(r: FiniteRing) -> ElementSet:
     """
     e = np.arange(r.order, dtype=np.intp)
     for _ in range(max(1, (r.order - 1).bit_length())):
-        e = r.mul_table[e, e]
+        e = r.mul_table.diagonal().take(e)
     return ElementSet(r, e == r.zero)
 
 
@@ -251,7 +308,8 @@ def is_von_neumann_regular(r: FiniteRing) -> bool:
     # rings are rarely large, so it beats a vectorised scan over all x
     mul = r.mul_table
     for x in range(r.order):
-        if not (mul[mul[x], x] == x).any():
+        # column x at the entries of row x: (xy)x for every y
+        if not (mul[:, x].take(mul[x]) == x).any():
             return False
     return True
 

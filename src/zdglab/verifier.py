@@ -48,6 +48,7 @@ from .rings import (
     DEFAULT_MAX_ORDER,
     FiniteRing,
     is_von_neumann_regular,
+    table_mask,
     total_quotient_ring,
     zero_divisors,
 )
@@ -264,7 +265,7 @@ def check_annihilator_agreement(a: PairAnalysis):
         return False, None
     in_i, gi = a.ideal.mask, a.gi
     # row v: the alphas outside I with alpha * v in I
-    ann = in_i[a.ring.mul_table[np.asarray(gi.vertices, dtype=np.intp)]] & ~in_i
+    ann = table_mask(a.ring.mul_table[np.asarray(gi.vertices, dtype=np.intp)], in_i) & ~in_i
     split = first_class_split(gi.orth, row_classes(ann))
     if split is None:
         return True, None

@@ -5,9 +5,10 @@ set scans over neighbor sets and member sets, and a brute-force
 isomorphism search -- no library graph or ideal code -- so the tests can
 compare the library against a second, independent route. Polynomial
 quotient tables come from the digit convolution that the library's
-Horner-rule builder replaced, and ring axioms are checked by the O(n^3)
-scan over every triple that the library's generator-based validator
-replaced.
+Horner-rule builder replaced, and from that builder's row-by-row Horner
+loop on int64 tables, which its one-step-per-digit-level fill replaced.
+Ring axioms are checked by the O(n^3) scan over every triple that the
+library's generator-based validator replaced.
 """
 
 from math import gcd
@@ -327,6 +328,32 @@ def conv_poly_quotient_tables(p: int, coeffs) -> tuple[np.ndarray, np.ndarray, t
     names = tuple(_poly_name(digits[i], p) for i in range(order))
     spec = f"polyq:{p}:{','.join(str(c) for c in cs)}"
     return add, mul, names, spec
+
+
+def horner_poly_quotient_tables(p: int, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """(add_table, mul_table) of Z_p[x]/(f) as int64 arrays, f monic and
+    given constant-term first, with no argument checks: addition is that of
+    Z_p^k on base-p digits, and row i >= p of the product is filled from
+    rows i % p and i // p by Horner's rule, one row at a time."""
+    cs = [int(c) for c in coeffs]
+    k = len(cs) - 1
+    order = p**k
+    digit = np.arange(p, dtype=np.int64)
+    add = zp_add = (digit[:, None] + digit[None, :]) % p
+    for _ in range(k - 1):
+        n = len(add)
+        add = (add[:, None, :, None] * np.int64(p) + zp_add[None, :, None, :]).reshape(n * p, n * p)
+
+    idx = np.arange(order, dtype=np.int64)
+    mul = np.zeros((order, order), dtype=np.int64)
+    for c in range(1, p):
+        mul[c] = add[mul[c - 1], idx]
+    top = p ** (k - 1)
+    h = sum(((-c) % p) * p**j for j, c in enumerate(cs[:k]))
+    times_x = add[(idx % top) * p, mul[idx // top, h]]
+    for i in range(p, order):
+        mul[i] = add[mul[i % p], times_x[mul[i // p]]]
+    return add, mul
 
 
 # --- ring axioms by a scan over every triple ----------------------------------

@@ -15,10 +15,16 @@ Criteria:
   6. cross-module consistency (reduced / radical / regular) plus the full
      ring-axiom scan for every constructed ring
   7. byte-deterministic outputs and the exit-status contract
+
+The golden tests pin the sha256 of the default-catalogue report and of the
+report on ``perfbench/scale.cat`` (rings of order 512-4096), the bytes that
+``zdglab verify`` writes at every ``--jobs`` value.
 """
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +38,7 @@ from zdglab import (
     is_radical,
     is_reduced,
     is_von_neumann_regular,
+    parse_catalogue_text,
     quotient_ring,
     run_catalogue,
     validate_ring_axioms,
@@ -40,6 +47,11 @@ from zdglab.cli import main
 
 SINGLE_THREAD_BUDGET_SECONDS = 60.0
 MIN_APPLICABLE_PAIRS = 5
+# tool_version 0.1.0
+DEFAULT_REPORT_SHA256 = "1b0a8e0aafd251c087c97173571e35b19b1add73aef0b8f71f7174e9f6a12714"
+# holds only for the description "perfbench/scale.cat", which the report embeds
+SCALE_REPORT_SHA256 = "d7122aa95593f6856edf7ffc962982c7211e3f37dfb0a72fa0dfb12f5195493c"
+SCALE_CATALOGUE = Path(__file__).resolve().parents[1] / "perfbench" / "scale.cat"
 
 
 def report_line(name: str, ok: bool, extra: str = "") -> None:
@@ -276,3 +288,19 @@ def test_criterion_7_determinism_and_exit_codes(tmp_path, capsys):
     assert graph_identical
     assert fault_code == 1
     assert fault_report["failures_total"] > 0
+
+
+def sha256_of(report) -> str:
+    return hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+
+
+def test_default_report_golden_hash(default_run):
+    report, _ = default_run
+    assert sha256_of(report) == DEFAULT_REPORT_SHA256
+
+
+def test_scale_report_golden_hash():
+    entries = parse_catalogue_text(SCALE_CATALOGUE.read_text(encoding="utf-8"))
+    report = run_catalogue(entries, description="perfbench/scale.cat", jobs=1)
+    assert report.failures_total == 0
+    assert sha256_of(report) == SCALE_REPORT_SHA256

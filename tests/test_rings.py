@@ -19,6 +19,7 @@ from zdglab import (
     RingConsistencyError,
     annihilator,
     build_poly_quotient,
+    build_ring,
     build_zn,
     default_catalogue,
     direct_product,
@@ -32,8 +33,11 @@ from zdglab import (
     zero_divisors,
 )
 
+from zdglab.rings import table_mask
+
 from oracles import (
     conv_poly_quotient_tables,
+    horner_poly_quotient_tables,
     is_isomorphic_small,
     squarefree,
     zn_nilpotents,
@@ -292,3 +296,72 @@ def test_poly_quotient_matches_convolution_oracle():
         assert np.array_equal(r.mul_table, mul), spec
         assert r.element_names == names, spec
         assert r.spec == expected_spec == spec
+
+
+def test_constructor_rejects_non_integer_tables():
+    add = [[0, 1.7], [1.2, 0]]  # truncates to the addition table of Z_2
+    with pytest.raises(RingConsistencyError, match="^table entries must be integers"):
+        FiniteRing(add, [[0, 0], [0, 1]], ["0", "1"], "float:Zn:2", zero=0, one=1)
+
+
+def test_constructor_checks_range_before_narrowing():
+    # an order-300 ring is stored in uint16, where 65539 would wrap to 3
+    base = build_zn(300)
+    add = base.add_table.astype(np.int64)
+    add[5, 7] = add[7, 5] = 65539
+    with pytest.raises(RingConsistencyError, match="^table entries must be element indices"):
+        FiniteRing(add, base.mul_table, base.element_names, "wrap:Zn:300", zero=0, one=1)
+    narrowed = FiniteRing(base.add_table.astype(np.int64), base.mul_table, base.element_names, "Zn:300", 0, 1)
+    assert narrowed.add_table.dtype == np.uint16
+    assert np.array_equal(narrowed.add_table, base.add_table)
+
+
+def _zn_rows(n):
+    """Rows of the int64 tables of Z_n, by % arithmetic."""
+    i = np.arange(n, dtype=np.int64)
+    return lambda rows: ((rows[:, None] + i) % n, (rows[:, None] * i) % n)
+
+
+def _pair_rows(m, n):
+    """Rows of the int64 tables of Z_m x Z_n on row-major pairs a*n + b."""
+    e = np.arange(m * n, dtype=np.int64)
+    a, b = e // n, e % n
+    return lambda rows: (
+        (a[rows, None] + a) % m * n + (b[rows, None] + b) % n,
+        (a[rows, None] * a) % m * n + (b[rows, None] * b) % n,
+    )
+
+
+def _horner_rows(p, coeffs):
+    add, mul = horner_poly_quotient_tables(p, coeffs)
+    return lambda rows: (add[rows], mul[rows])
+
+
+@pytest.mark.parametrize(
+    "spec, dtype, oracle_rows",
+    [
+        ("Zn:4096", np.uint16, lambda: _zn_rows(4096)),
+        ("prod(Zn:16,Zn:16)", np.uint8, lambda: _pair_rows(16, 16)),  # the largest uint8 order
+        ("prod(Zn:16,Zn:32)", np.uint16, lambda: _pair_rows(16, 32)),  # ta*32 would wrap in uint8
+        ("prod(Zn:61,Zn:67)", np.uint16, lambda: _pair_rows(61, 67)),
+        ("polyq:2:1,0,1,1,1,0,0,0,1", np.uint8, lambda: _horner_rows(2, [1, 0, 1, 1, 1, 0, 0, 0, 1])),
+        ("polyq:3:1,2,0,0,0,0,0,1", np.uint16, lambda: _horner_rows(3, [1, 2, 0, 0, 0, 0, 0, 1])),
+    ],
+)
+def test_builder_tables_at_dtype_edges(spec, dtype, oracle_rows):
+    r = build_ring(spec)
+    assert r.add_table.dtype == dtype and r.mul_table.dtype == dtype
+    assert r.add_table.flags.c_contiguous and r.mul_table.flags.c_contiguous
+    rows_of = oracle_rows()
+    for lo in range(0, r.order, 256):  # row blocks keep the int64 oracle small
+        rows = np.arange(lo, min(r.order, lo + 256))
+        add, mul = rows_of(rows)
+        assert np.array_equal(r.add_table[rows], add), (spec, lo)
+        assert np.array_equal(r.mul_table[rows], mul), (spec, lo)
+
+
+def test_table_mask_over_several_row_blocks():
+    r = build_zn(300)  # 218 rows per block, so the last block is partial
+    mask = generate_ideal(r, [6]).mask
+    for table in (r.mul_table, r.add_table, r.mul_table[[3, 5, 299]]):
+        assert np.array_equal(table_mask(table, mask), mask[table.astype(np.int64)])
