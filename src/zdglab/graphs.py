@@ -8,11 +8,16 @@ every vertex has an orthogonal partner, and *uniquely complemented* when
 additionally all orthogonal partners of a vertex are pairwise similar.
 
 A graph is its boolean adjacency matrix over the ascending vertex keys, and
-every predicate is read off that matrix: an edge is orthogonal when its
-entry of A @ A (the common-neighbor count) is zero, which is triangle
-detection by matrix product (Itai & Rodeh, SIAM J. Comput. 7(4), 1978). In
-a loop-free graph equal neighborhoods already force non-adjacency, so
-similar vertices are exactly those with equal adjacency rows.
+every predicate is read off that matrix. In a loop-free graph equal
+neighborhoods already force non-adjacency, so similar vertices are exactly
+those with equal adjacency rows. An edge is orthogonal when its entry of
+A @ A (the common-neighbor count) is zero, which is triangle detection by
+matrix product (Itai & Rodeh, SIAM J. Comput. 7(4), 1978). Vertices with
+equal rows of A have equal rows of A @ A, so only one row per class of
+equal adjacency rows is multiplied, in float32, which holds every count
+below 2^24 exactly. The classes are the vertices of the compressed
+zero-divisor graph (Mulay, Comm. Algebra 30, 2002), and zero-divisor graphs
+have few of them (68 for the 2047 vertices of Gamma(Z_4096)).
 """
 
 from __future__ import annotations
@@ -31,14 +36,16 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def row_classes(rows: np.ndarray) -> np.ndarray:
-    """A class label per row of a 2-D boolean array; rows share a label
-    exactly when they are equal."""
+def row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, labels) for the rows of a 2-D boolean array: rows share a
+    label exactly when they are equal, and ``first[c]`` is the index of the
+    first row with label c."""
     rows = np.ascontiguousarray(rows, dtype=bool)
     if rows.shape[1] == 0:
-        return np.zeros(rows.shape[0], dtype=np.intp)
+        return np.zeros(min(1, rows.shape[0]), dtype=np.intp), np.zeros(rows.shape[0], dtype=np.intp)
     keys = rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
-    return np.unique(keys, return_inverse=True)[1]
+    _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
+    return first, labels
 
 
 def first_class_split(sel: np.ndarray, classes: np.ndarray) -> tuple[int, int] | None:
@@ -94,14 +101,23 @@ class SimpleGraph:
         self.adj.setflags(write=False)
 
     @cached_property
+    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``row_classes(adj)``: the classes of similar vertices."""
+        return row_classes(self.adj)
+
+    @cached_property
     def orth(self) -> np.ndarray:
         """Read-only boolean matrix of orthogonal pairs: edges in no triangle.
 
-        The product runs in float32 through BLAS; common-neighbor counts
-        stay below the vertex count, far inside float32's exact range.
+        Row v of A @ A depends only on row v of A, so the product R @ A is
+        taken over the rows R of the first vertex of each class of equal
+        rows, and every vertex reads the zero pattern of its class's row.
+        It runs in float32 through BLAS; common-neighbor counts stay below
+        the vertex count, far inside float32's exact range.
         """
+        first, labels = self._classes
         a = self.adj.astype(np.float32)
-        orth = self.adj & ((a @ a) == 0)
+        orth = self.adj & ((a[first] @ a) == 0)[labels]
         orth.setflags(write=False)
         return orth
 
@@ -158,28 +174,12 @@ class SimpleGraph:
     def is_uniquely_complemented(self) -> bool:
         """Complemented, and the complements of each vertex are pairwise
         similar: each row of ``orth`` selects a single adjacency-row class."""
-        return self.is_complemented() and first_class_split(self.orth, row_classes(self.adj)) is None
+        return self.is_complemented() and first_class_split(self.orth, self._classes[1]) is None
 
     def is_complete(self) -> tuple[bool, int]:
         """(all distinct pairs adjacent, vertex count) -- i.e. whether this is K^n."""
         n = len(self.vertices)
         return (self.edge_count == n * (n - 1) // 2, n)
-
-    def is_connected(self) -> tuple[bool, int | None]:
-        """(connected, diameter); the empty graph counts as connected with diameter 0.
-
-        Runs the breadth-first search from every vertex at once: after k
-        rounds ``reach`` holds the pairs at distance at most k.
-        """
-        a = self.adj.astype(np.float32)
-        reach = np.eye(len(self.vertices), dtype=bool)
-        rounds = 0
-        while True:
-            grown = reach | ((reach.astype(np.float32) @ a) > 0)
-            if (grown == reach).all():
-                break
-            reach, rounds = grown, rounds + 1
-        return (True, rounds) if reach.all() else (False, None)
 
     def to_dot(self) -> str:
         lines = [f"graph {_dot_quote(self.name)} {{"]

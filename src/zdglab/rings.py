@@ -26,8 +26,8 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 4096
-# cells per row block in ``build_zn`` and ``table_mask``: keeps each
-# temporary small next to the tables
+# cells per row block in ``build_zn``, ``build_poly_quotient`` and
+# ``table_mask``: keeps each temporary small next to the tables
 _BLOCK_CELLS = 1 << 16
 
 
@@ -216,8 +216,9 @@ def build_poly_quotient(p: int, coeffs: Sequence[int], *, max_order: int = DEFAU
     a' = i // p < i, so by Horner's rule row i is row a0 plus x times
     row a'; multiplying by x shifts the digits up and replaces the carried
     x^k by -(c0 + c1 x + ... + c_{k-1} x^{k-1}). The rows with j+1 base-p
-    digits need only rows with at most j, so each digit level is filled
-    in one step.
+    digits need only rows with at most j, so each digit level is filled in
+    row blocks, each one gather from ``add`` through a flat intp index
+    a*order + b (a pair of narrow index arrays would be cast per element).
     """
     if not _is_prime(p):
         raise InvalidModulusError(f"polynomial modulus must be prime, got {p}")
@@ -242,10 +243,17 @@ def build_poly_quotient(p: int, coeffs: Sequence[int], *, max_order: int = DEFAU
         mul[c] = add[mul[c - 1], idx]
     top = p ** (k - 1)
     h = sum(((-c) % p) * p**j for j, c in enumerate(cs[:k]))
-    times_x = add[(idx % top) * p, mul[idx // top, h]]
-    for lo in (p**j for j in range(1, k)):
-        level = idx[lo : lo * p]
-        mul[lo : lo * p] = add[mul[level % p], times_x[mul[level // p]]]
+    times_x = add[(idx % top) * p, mul[idx // top, h]].astype(np.intp)
+    cells = add.ravel()
+    step = max(1, _BLOCK_CELLS // order)
+    for level in (p**j for j in range(1, k)):
+        for lo in range(level, level * p, step):
+            hi = min(lo + step, level * p)
+            rows = idx[lo:hi]
+            flat = mul[rows % p].astype(np.intp)
+            flat *= order
+            flat += times_x[mul[rows // p].astype(np.intp)]
+            mul[lo:hi] = cells[flat]
 
     digits = idx[:, None] // p ** np.arange(k, dtype=np.intp) % p
     names = tuple(_poly_name(digits[i], p) for i in range(order))

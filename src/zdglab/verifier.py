@@ -266,7 +266,7 @@ def check_annihilator_agreement(a: PairAnalysis):
     in_i, gi = a.ideal.mask, a.gi
     # row v: the alphas outside I with alpha * v in I
     ann = table_mask(a.ring.mul_table[np.asarray(gi.vertices, dtype=np.intp)], in_i) & ~in_i
-    split = first_class_split(gi.orth, row_classes(ann))
+    split = first_class_split(gi.orth, row_classes(ann)[1])
     if split is None:
         return True, None
     i, k = split

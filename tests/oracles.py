@@ -6,9 +6,11 @@ isomorphism search -- no library graph or ideal code -- so the tests can
 compare the library against a second, independent route. Polynomial
 quotient tables come from the digit convolution that the library's
 Horner-rule builder replaced, and from that builder's row-by-row Horner
-loop on int64 tables, which its one-step-per-digit-level fill replaced.
+loop on int64 tables, which its per-digit-level fill replaced.
 Ring axioms are checked by the O(n^3) scan over every triple that the
-library's generator-based validator replaced.
+library's generator-based validator replaced. Orthogonality comes from the
+full n x n common-neighbor product that the library's one-row-per-class
+product replaced.
 """
 
 from math import gcd
@@ -91,6 +93,40 @@ def graph_uniquely_complemented(adj: dict) -> bool:
                 if not graph_similar(adj, b, c):
                     return False
     return True
+
+
+def is_connected(g) -> tuple[bool, int | None]:
+    """(connected, diameter) of a ``SimpleGraph``; the empty graph counts as
+    connected with diameter 0.
+
+    Runs the breadth-first search from every vertex at once: after k rounds
+    ``reach`` holds the pairs at distance at most k.
+    """
+    a = g.adj.astype(np.float32)
+    reach = np.eye(len(g.vertices), dtype=bool)
+    rounds = 0
+    while True:
+        grown = reach | ((reach.astype(np.float32) @ a) > 0)
+        if (grown == reach).all():
+            break
+        reach, rounds = grown, rounds + 1
+    return (True, rounds) if reach.all() else (False, None)
+
+
+def dense_orth(adj: np.ndarray) -> np.ndarray:
+    """Orthogonal pairs of a loop-free boolean adjacency matrix from the full
+    common-neighbor product A @ A, one row per vertex."""
+    a = adj.astype(np.float32)
+    return adj & ((a @ a) == 0)
+
+
+def dense_uniquely_complemented(adj: np.ndarray) -> bool:
+    """Every vertex has a complement in ``dense_orth``, and all complements
+    of a vertex have the adjacency row of its first one."""
+    orth = dense_orth(adj)
+    return bool(orth.any(axis=1).all()) and all(
+        (adj[np.flatnonzero(row)] == adj[row.argmax()]).all() for row in orth
+    )
 
 
 def adj_from_edges(verts, edges) -> dict:

@@ -1,9 +1,13 @@
 """Zero-divisor graphs and the complemented / uniquely-complemented predicates.
 
 Graph fixtures over Z_n are cross-checked against the brute-force oracle
-in ``oracles.py`` and frozen as literals.
+in ``oracles.py`` and frozen as literals; the per-class orthogonality
+product is checked against the dense one, ``oracles.dense_orth``.
 """
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from zdglab import (
@@ -18,17 +22,24 @@ from zdglab import (
     gamma,
     gamma_ideal,
     generate_ideal,
+    parse_catalogue_text,
     quotient_ring,
 )
+from zdglab.verifier import _drop_top_vertex
 
 from oracles import (
     adj_from_edges,
+    dense_orth,
+    dense_uniquely_complemented,
     graph_complemented,
     graph_orthogonal,
     graph_similar,
     graph_uniquely_complemented,
+    is_connected,
     zn_gamma_ideal,
 )
+
+SCALE_CATALOGUE = Path(__file__).resolve().parents[1] / "perfbench" / "scale.cat"
 
 
 def test_gamma_z6_is_a_path():
@@ -38,7 +49,7 @@ def test_gamma_z6_is_a_path():
     assert g.vertices == (2, 3, 4)
     assert g.edge_list() == [(2, 3), (3, 4)]
     assert g.neighbors(3) == {2, 4}
-    assert g.is_connected() == (True, 2)
+    assert is_connected(g) == (True, 2)
     assert g.is_complemented()
 
 
@@ -57,7 +68,7 @@ def test_gamma_of_a_field_is_empty():
     assert g.vertices == ()
     assert g.is_complemented()
     assert g.is_uniquely_complemented()
-    assert g.is_connected() == (True, 0)
+    assert is_connected(g) == (True, 0)
     assert g.is_complete() == (True, 0)
 
 
@@ -82,7 +93,7 @@ def test_gamma_ideal_z12_by_6():
     assert set(g.edge_list()) == edges
     assert g.vertex_count == 6 and g.edge_count == 8
     assert g.is_complemented() and g.is_uniquely_complemented()
-    assert g.is_connected()[0] and g.is_connected()[1] <= 3
+    assert is_connected(g)[0] and is_connected(g)[1] <= 3
     # orthogonality and similarity spot checks
     assert g.are_orthogonal(2, 3)
     assert g.are_similar(2, 8)
@@ -160,7 +171,7 @@ def test_complete_graph_k3_has_no_orthogonal_pairs():
 def test_path_on_three_vertices_is_not_complete():
     g = SimpleGraph([0, 1, 2], {0: "a", 1: "b", 2: "c"}, [(0, 1), (1, 2)])
     assert g.is_complete() == (False, 3)
-    assert g.is_connected() == (True, 2)
+    assert is_connected(g) == (True, 2)
 
 
 def test_simple_graph_rejects_loops_and_unknown_edges():
@@ -261,3 +272,94 @@ def test_quotient_graph_uses_coset_labels():
     q, _ = quotient_ring(r, generate_ideal(r, [6]))
     g = gamma(q)
     assert [g.labels[v] for v in g.vertices] == ["2+I", "3+I", "4+I"]
+
+
+def _pair_graphs(entries):
+    """Gamma_I(R) and Gamma(R/I) for every pair that ``verify`` would analyze."""
+    for entry in entries:
+        r = build_ring(entry.spec)
+        if entry.ideal_filters is None:
+            ideals = [i for i in all_ideals(r) if i.is_proper]
+        else:
+            ideals = [generate_ideal(r, gens) for gens in entry.ideal_filters]
+        for ideal in ideals:
+            yield gamma_ideal(r, ideal)
+            yield gamma(quotient_ring(r, ideal)[0])
+
+
+def _assert_orth_matches_dense(g):
+    assert np.array_equal(g.orth, dense_orth(g.adj)), g.name
+    assert g.is_uniquely_complemented() == dense_uniquely_complemented(g.adj), g.name
+
+
+def test_orth_matches_dense_product_on_scale_catalogue():
+    entries = parse_catalogue_text(SCALE_CATALOGUE.read_text(encoding="utf-8"))
+    graphs = list(_pair_graphs(entries))
+    assert len(graphs) == 24
+    assert max(g.vertex_count for g in graphs) == 2047  # Gamma(Z_4096)
+    for g in graphs:
+        _assert_orth_matches_dense(g)
+
+
+def test_orth_matches_dense_product_on_default_catalogue():
+    # every graph of the default catalogue, and the --inject-fault graph made
+    # from each by dropping its top vertex, which can merge classes
+    graphs = 0
+    for g in _pair_graphs(default_catalogue()):
+        _assert_orth_matches_dense(g)
+        if g.vertex_count:
+            _assert_orth_matches_dense(_drop_top_vertex(g))
+        graphs += 1
+    assert graphs == 2520
+
+
+def _complete_bipartite(m, n):
+    edges = [(a, m + b) for a in range(m) for b in range(n)]
+    return SimpleGraph(range(m + n), {v: str(v) for v in range(m + n)}, edges, name=f"K{m},{n}")
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        SimpleGraph([], {}, [], name="empty"),
+        SimpleGraph([0], {0: "0"}, [], name="K1"),
+        SimpleGraph(range(5), {v: str(v) for v in range(5)}, [(0, 1), (1, 2), (2, 3), (3, 4)], name="P5"),
+        _complete_bipartite(1, 1),
+        _complete_bipartite(2, 3),
+        _complete_bipartite(4, 4),
+        # complements 1 and 2 of vertex 0 have equal orth rows, unequal adj rows
+        SimpleGraph(
+            range(7), {v: str(v) for v in range(7)},
+            [(0, 1), (0, 2), (1, 3), (1, 4), (3, 4), (3, 5), (4, 6)], name="equal-orth-rows",
+        ),
+    ],
+    ids=lambda g: g.name,
+)
+def test_orth_matches_dense_product_on_small_graphs(g):
+    _assert_orth_matches_dense(g)
+
+
+def test_path_and_complete_bipartite_classes():
+    path = SimpleGraph(range(5), {v: str(v) for v in range(5)}, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert sorted(path._classes[1]) == [0, 1, 2, 3, 4]  # no two rows equal
+    assert path.orth.sum() == 2 * 4
+    k = _complete_bipartite(2, 3)
+    assert len(k._classes[0]) == 2
+    assert k.orth.sum() == 2 * 6 and k.is_uniquely_complemented()
+
+
+def test_orth_after_dropping_the_top_vertex():
+    # 0 and 1 differ only at the top vertex 4, and the edge 0-2 lies only in
+    # the triangle 0-2-4: dropping 4 merges {0, 1} and {2, 3} into two classes
+    # of K_{2,2} and makes 0-2 orthogonal, so nothing of the parent's classes
+    # or products carries over
+    edges = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4)]
+    g = SimpleGraph(range(5), {v: str(v) for v in range(5)}, edges, name="twins-at-top")
+    assert len(g._classes[0]) == 5
+    assert not g.are_orthogonal(0, 2)
+    _assert_orth_matches_dense(g)
+    dropped = _drop_top_vertex(g)
+    assert len(dropped._classes[0]) == 2
+    assert dropped.are_orthogonal(0, 2)
+    assert dropped.is_uniquely_complemented() and not g.is_complemented()
+    _assert_orth_matches_dense(dropped)
