@@ -18,6 +18,12 @@ equal adjacency rows is multiplied, in float32, which holds every count
 below 2^24 exactly. The classes are the vertices of the compressed
 zero-divisor graph (Mulay, Comm. Algebra 30, 2002), and zero-divisor graphs
 have few of them (68 for the 2047 vertices of Gamma(Z_4096)).
+
+``gamma_ideal`` and ``gamma`` share one builder. Gamma_I(R) takes its
+vertices from the ideal's cached ``Ideal.vertex_mask`` and Gamma(R) from
+the ring's cached zero-divisor mask; each then gathers only the V x V block
+of R's own multiplication table for its adjacency, so no order x order
+product mask is built.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from .errors import ImproperIdealError, UnknownVertexError
 from .ideals import Ideal
-from .rings import FiniteRing, table_mask
+from .rings import FiniteRing, row_blocks, zero_divisor_mask
 
 
 def _dot_quote(s: str) -> str:
@@ -200,12 +206,15 @@ class SimpleGraph:
         return f"SimpleGraph({self.name!r}, vertices={self.vertex_count}, edges={self.edge_count})"
 
 
-def _ideal_graph(r: FiniteRing, in_i: np.ndarray, prod_in: np.ndarray, name: str) -> SimpleGraph:
-    """``gamma_ideal`` for the ideal with membership mask ``in_i``, given the
-    order x order mask ``prod_in`` of the products x*y that lie in it."""
-    outside = ~in_i
-    varr = np.flatnonzero(outside & (prod_in & outside[None, :]).any(axis=1))
-    adj = prod_in[np.ix_(varr, varr)]
+def _ideal_graph(r: FiniteRing, in_i: np.ndarray, vertices: np.ndarray, name: str) -> SimpleGraph:
+    """The graph on the vertex mask ``vertices`` in which distinct x and y
+    are adjacent when x*y lies in the subset ``in_i``. Only the V x V block
+    of ``mul_table`` at the vertices is read: in row blocks, each the
+    vertices' rows taken at the vertices' columns and cast to intp."""
+    varr = np.flatnonzero(vertices)
+    adj = np.empty((len(varr), len(varr)), dtype=bool)
+    for block in row_blocks(len(varr), len(varr)):
+        adj[block] = in_i[r.mul_table[varr[block]].take(varr, axis=1).astype(np.intp)]
     np.fill_diagonal(adj, False)
     verts = varr.tolist()
     return SimpleGraph._from_matrix(verts, {v: r.element_names[v] for v in verts}, adj, name)
@@ -213,16 +222,19 @@ def _ideal_graph(r: FiniteRing, in_i: np.ndarray, prod_in: np.ndarray, name: str
 
 def gamma(r: FiniteRing) -> SimpleGraph:
     """The zero-divisor graph: vertices are the nonzero zero-divisors,
-    distinct x and y adjacent exactly when x*y = 0."""
-    return _ideal_graph(r, np.arange(r.order) == r.zero, r.mul_table == r.zero, f"Gamma({r.spec})")
+    distinct x and y adjacent exactly when x*y = 0. The vertices come from
+    the ring's cached zero-divisor mask."""
+    zero = np.arange(r.order) == r.zero
+    return _ideal_graph(r, zero, zero_divisor_mask(r) & ~zero, f"Gamma({r.spec})")
 
 
 def gamma_ideal(r: FiniteRing, i: Ideal) -> SimpleGraph:
     """The ideal-based zero-divisor graph: vertices are the x outside I
-    with x*y in I for some y outside I; distinct x and y adjacent exactly
-    when x*y lands in I. Coincides with ``gamma`` at the zero ideal."""
+    with x*y in I for some y outside I (``Ideal.vertex_mask``, cached on the
+    ideal); distinct x and y adjacent exactly when x*y lands in I.
+    Coincides with ``gamma`` at the zero ideal."""
     if not i.is_proper:
         raise ImproperIdealError("the ideal-based graph needs a proper ideal")
     gens = i.generators if i.generators else (r.zero,)
     name = f"Gamma_{{{','.join(str(g) for g in gens)}}}({r.spec})"
-    return _ideal_graph(r, i.mask, table_mask(r.mul_table, i.mask), name)
+    return _ideal_graph(r, i.mask, i.vertex_mask, name)

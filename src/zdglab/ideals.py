@@ -1,14 +1,23 @@
-"""Ideal generation and enumeration, radicals, primality, quotient rings."""
+"""Ideal generation and enumeration, radicals, primality, quotient rings.
+
+An ideal is its membership mask. One fact is read off the multiplication
+table once per ideal and cached on it: ``Ideal.vertex_mask``, the vertex
+set of Gamma_I(R), a length-order mask from one scan in row blocks.
+``is_prime`` reads it, since Gamma_I(R) is empty exactly when I is prime,
+and ``graphs.gamma_ideal`` builds its graph on it. ``radical`` reads the
+ring's cached power array.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .errors import CapExceededError, ImproperIdealError, InvalidElementError
-from .rings import ElementSet, FiniteRing, table_mask
+from .rings import ElementSet, FiniteRing, power_array, row_blocks
 
 DEFAULT_IDEAL_ENUMERATION_CAP = 256
 
@@ -27,6 +36,25 @@ class Ideal(ElementSet):
         super().__post_init__()
         if not self.mask[self.ring.zero]:
             raise InvalidElementError("an ideal must contain zero")
+
+    @cached_property
+    def vertex_mask(self) -> np.ndarray:
+        """Read-only mask of the vertices of Gamma_I(R): the x outside I
+        with x*y in I for some y outside I, y = x included.
+
+        The rows of ``mul_table`` at the x outside I are gathered through
+        the membership mask in row blocks, each cast to intp and reduced
+        inside the block, so no order x order array is built.
+        """
+        r = self.ring
+        outside = ~self.mask
+        rows = np.flatnonzero(outside)
+        hit = np.zeros(r.order, dtype=bool)
+        for block in row_blocks(len(rows), r.order):
+            xs = rows[block]
+            hit[xs] = (self.mask[r.mul_table[xs].astype(np.intp)] & outside).any(axis=1)
+        hit.setflags(write=False)
+        return hit
 
     @property
     def is_zero(self) -> bool:
@@ -110,6 +138,8 @@ def all_ideals(r: FiniteRing, *, max_order: int = DEFAULT_IDEAL_ENUMERATION_CAP)
         found.setdefault(m.tobytes(), (m, (g,)))
     for cur, _ in list(found.values()):
         for other, _ in list(found.values()):
+            if not (other & ~cur).any() or not (cur & ~other).any():
+                continue  # one contains the other, so the sum is found already
             s = _sum_mask(r, cur, other)
             key = s.tobytes()
             if key not in found:
@@ -123,13 +153,11 @@ def radical(i: Ideal) -> Ideal:
     """Elements with some power landing in the ideal.
 
     Exponents up to the ring order suffice; once a power lands in the
-    ideal all higher powers stay there, so repeated squaring decides it.
+    ideal all higher powers stay there, so the ring's cached power array
+    x^(2^k), 2^k >= order, decides it.
     """
     r = i.ring
-    e = np.arange(r.order, dtype=np.intp)
-    for _ in range(max(1, (r.order - 1).bit_length())):
-        e = r.mul_table.diagonal().take(e)
-    mask = i.mask[e]
+    mask = i.mask[power_array(r)]
     return Ideal(r, mask, minimal_generators(r, mask))
 
 
@@ -138,12 +166,13 @@ def is_radical(i: Ideal) -> bool:
 
 
 def is_prime(i: Ideal) -> bool:
-    """Proper, and x*y in I forces x in I or y in I (exhaustive pair scan)."""
-    if not i.is_proper:
-        return False
-    prod_in = table_mask(i.ring.mul_table, i.mask)
-    outside = ~i.mask
-    return not bool((prod_in & outside[:, None] & outside[None, :]).any())
+    """Proper, and x*y in I forces x in I or y in I.
+
+    A pair x, y outside I with x*y in I makes x a vertex of Gamma_I(R), so
+    this reads the exhaustive pair scan behind ``Ideal.vertex_mask``: I is
+    prime exactly when it is proper and the graph has no vertex.
+    """
+    return i.is_proper and not i.vertex_mask.any()
 
 
 def quotient_ring(r: FiniteRing, i: Ideal) -> tuple[FiniteRing, np.ndarray]:

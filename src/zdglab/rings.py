@@ -6,12 +6,21 @@ holds every element index (uint8 up to order 256, uint16 up to 65536), so
 every predicate in this module is an explicit exhaustive scan over those
 tables. The builders produce that dtype directly, with no order x order
 int64 temporary.
+
+Three facts are read off the tables once per ring, on first use, and kept
+on it as read-only length-order arrays: the zero-divisor mask, the unit
+mask and the power array x^(2^k) with 2^k >= order. ``zero_divisors``,
+``nilpotents``, ``total_quotient_ring`` and ``ideals.radical`` read them.
+Each is one scan of ``mul_table`` in row blocks of ``_BLOCK_CELLS`` cells
+(the power array only reads the diagonal), so no order x order temporary
+is built for them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,9 +35,18 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 4096
-# cells per row block in ``build_zn``, ``build_poly_quotient`` and
-# ``table_mask``: keeps each temporary small next to the tables
+# cells per row block of every blocked scan or fill: keeps each temporary
+# small next to the tables
 _BLOCK_CELLS = 1 << 16
+
+
+def row_blocks(stop: int, width: int, start: int = 0) -> Iterator[slice]:
+    """Slices covering rows ``start..stop-1``, about ``_BLOCK_CELLS`` cells
+    each for rows ``width`` cells wide (at least one row per block, so a
+    zero width is fine)."""
+    step = max(1, _BLOCK_CELLS // max(1, width))
+    for lo in range(start, stop, step):
+        yield slice(lo, min(lo + step, stop))
 
 
 def _table_dtype(order: int) -> np.dtype:
@@ -48,9 +66,16 @@ class FiniteRing:
     in O(n^2 * k) for k additive generators. Instances are immutable after
     construction (the tables are locked), so they are safe to share between
     threads.
+
+    ``_facts`` caches what is read off the tables once per ring (see the
+    module docstring), by name. Every entry is a read-only 1-D array of
+    length ``order``: nothing order x order is ever cached, on a ring or on
+    an ideal, since the two tables are the only quadratic state. Two
+    threads that fill one entry compute the same array, so the cache keeps
+    the ring safe to share.
     """
 
-    __slots__ = ("order", "zero", "one", "add_table", "mul_table", "element_names", "spec")
+    __slots__ = ("order", "zero", "one", "add_table", "mul_table", "element_names", "spec", "_facts")
 
     def __init__(self, add_table, mul_table, element_names, spec: str, zero: int, one: int):
         add = np.asarray(add_table)
@@ -90,6 +115,7 @@ class FiniteRing:
         self.mul_table = mul
         self.element_names = names
         self.spec = str(spec)
+        self._facts: dict[str, np.ndarray] = {}
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.spec!r}, order={self.order})"
@@ -170,11 +196,10 @@ def build_zn(n: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
     mul = np.empty((n, n), dtype=dtype)
     wide = np.min_scalar_type((n - 1) ** 2)
     idx = np.arange(n, dtype=wide)
-    step = max(1, _BLOCK_CELLS // n)
-    for lo in range(0, n, step):
-        block = np.multiply.outer(idx[lo : lo + step], idx)
+    for rows in row_blocks(n, n):
+        block = np.multiply.outer(idx[rows], idx)
         block %= wide.type(n)
-        mul[lo : lo + step] = block
+        mul[rows] = block
     names = tuple(str(i) for i in range(n))
     return FiniteRing(add, mul, names, f"Zn:{n}", zero=0, one=1)
 
@@ -245,15 +270,13 @@ def build_poly_quotient(p: int, coeffs: Sequence[int], *, max_order: int = DEFAU
     h = sum(((-c) % p) * p**j for j, c in enumerate(cs[:k]))
     times_x = add[(idx % top) * p, mul[idx // top, h]].astype(np.intp)
     cells = add.ravel()
-    step = max(1, _BLOCK_CELLS // order)
     for level in (p**j for j in range(1, k)):
-        for lo in range(level, level * p, step):
-            hi = min(lo + step, level * p)
-            rows = idx[lo:hi]
+        for block in row_blocks(level * p, order, level):
+            rows = idx[block]
             flat = mul[rows % p].astype(np.intp)
             flat *= order
             flat += times_x[mul[rows // p].astype(np.intp)]
-            mul[lo:hi] = cells[flat]
+            mul[block] = cells[flat]
 
     digits = idx[:, None] // p ** np.arange(k, dtype=np.intp) % p
     names = tuple(_poly_name(digits[i], p) for i in range(order))
@@ -280,29 +303,72 @@ def table_mask(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     intp first; numpy's own cast of a narrow index array makes the plain
     gather about twice as slow."""
     out = np.empty(table.shape, dtype=bool)
-    step = max(1, _BLOCK_CELLS // table.shape[1])
-    for lo in range(0, len(table), step):
-        out[lo : lo + step] = mask[table[lo : lo + step].astype(np.intp)]
+    for rows in row_blocks(len(table), table.shape[1]):
+        out[rows] = mask[table[rows].astype(np.intp)]
     return out
+
+
+def _ring_fact(compute: Callable[[FiniteRing], np.ndarray]) -> Callable[[FiniteRing], np.ndarray]:
+    """``compute(r)``, a length-order array, computed on first use and kept
+    read-only in ``r._facts`` under the function's name."""
+    name = compute.__name__
+
+    @functools.wraps(compute)
+    def fact(r: FiniteRing) -> np.ndarray:
+        value = r._facts.get(name)
+        if value is None:
+            value = compute(r)
+            value.setflags(write=False)
+            r._facts[name] = value
+        return value
+
+    return fact
+
+
+def _rows_holding(r: FiniteRing, value: int, skip_column: int | None = None) -> np.ndarray:
+    """Mask of the rows of ``mul_table`` holding ``value`` outside column
+    ``skip_column``, scanned in row blocks."""
+    hits = np.empty(r.order, dtype=bool)
+    for rows in row_blocks(r.order, r.order):
+        block = r.mul_table[rows] == value
+        if skip_column is not None:
+            block[:, skip_column] = False
+        hits[rows] = block.any(axis=1)
+    return hits
+
+
+@_ring_fact
+def zero_divisor_mask(r: FiniteRing) -> np.ndarray:
+    """Z(R) as a mask: the x with x*y = 0 for some nonzero y."""
+    return _rows_holding(r, r.zero, skip_column=r.zero)
+
+
+@_ring_fact
+def unit_mask(r: FiniteRing) -> np.ndarray:
+    """The units as a mask: the x with x*y = 1 for some y."""
+    return _rows_holding(r, r.one)
+
+
+@_ring_fact
+def power_array(r: FiniteRing) -> np.ndarray:
+    """x^(2^k) for every element x, where 2^k >= order: k squarings
+    along the diagonal of ``mul_table``. Exponents up to the ring order
+    decide nilpotency and radical membership, and once a power is zero or
+    lies in an ideal every higher power does too."""
+    e = np.arange(r.order, dtype=np.intp)
+    for _ in range(max(1, (r.order - 1).bit_length())):
+        e = r.mul_table.diagonal().take(e)
+    return e
 
 
 def zero_divisors(r: FiniteRing) -> ElementSet:
     """Z(R) = elements x with x*y = 0 for some nonzero y (0 always qualifies)."""
-    hits = r.mul_table == r.zero
-    hits[:, r.zero] = False
-    return ElementSet(r, hits.any(axis=1))
+    return ElementSet(r, zero_divisor_mask(r))
 
 
 def nilpotents(r: FiniteRing) -> ElementSet:
-    """Elements with some power equal to zero.
-
-    Exponents up to the ring order suffice; repeated squaring reaches a
-    power >= order in log steps.
-    """
-    e = np.arange(r.order, dtype=np.intp)
-    for _ in range(max(1, (r.order - 1).bit_length())):
-        e = r.mul_table.diagonal().take(e)
-    return ElementSet(r, e == r.zero)
+    """Elements with some power equal to zero, read off ``power_array``."""
+    return ElementSet(r, power_array(r) == r.zero)
 
 
 def is_reduced(r: FiniteRing) -> bool:
@@ -311,29 +377,31 @@ def is_reduced(r: FiniteRing) -> bool:
 
 
 def is_von_neumann_regular(r: FiniteRing) -> bool:
-    """True when every x admits a y with x*y*x = x (exhaustive search)."""
+    """True when every x admits a y with x*y*x = x (exhaustive search).
+
+    Row x of ``mul_table`` read at its own entries gives x*(x*y) for every
+    y, which is (x*y)*x in a commutative ring; reading the row keeps every
+    access contiguous, where column x would be strided.
+    """
     # a loop on purpose: it stops at the first non-regular x, and regular
     # rings are rarely large, so it beats a vectorised scan over all x
     mul = r.mul_table
     for x in range(r.order):
-        # column x at the entries of row x: (xy)x for every y
-        if not (mul[:, x].take(mul[x]) == x).any():
+        row = mul[x]
+        if not (row.take(row) == x).any():
             return False
     return True
-
-
-def _unit_mask(r: FiniteRing) -> np.ndarray:
-    return (r.mul_table == r.one).any(axis=1)
 
 
 def total_quotient_ring(r: FiniteRing) -> FiniteRing:
     """Localization at the non-zero-divisors; the ring itself when finite.
 
     In a finite commutative ring every regular element is a unit, so the
-    localization changes nothing. This verifies that fact on the tables
-    (it can only fail for corrupted data) and returns ``r`` unchanged.
+    localization changes nothing. This verifies that fact on the ring's
+    zero-divisor and unit masks (it can only fail for corrupted data) and
+    returns ``r`` unchanged.
     """
-    bad = ~zero_divisors(r).mask & ~_unit_mask(r)
+    bad = ~zero_divisor_mask(r) & ~unit_mask(r)
     if bad.any():
         x = int(bad.argmax())
         raise RingConsistencyError(f"element {r.element_names[x]} is neither a unit nor a zero-divisor")

@@ -21,7 +21,7 @@ import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 import json
 
 import numpy as np
@@ -353,7 +353,14 @@ class VerificationReport:
         raise KeyError(name)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        # one shallow vars() per record: json.dumps reads the nested lists
+        # and dicts as they are, so asdict's recursive deep copy buys nothing
+        obj = {
+            **vars(self),
+            "checks": [vars(c) for c in self.checks],
+            "verdicts": [vars(v) for v in self.verdicts],
+        }
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def default_catalogue() -> list[CatalogueEntry]:

@@ -10,15 +10,22 @@ loop on int64 tables, which its per-digit-level fill replaced.
 Ring axioms are checked by the O(n^3) scan over every triple that the
 library's generator-based validator replaced. Orthogonality comes from the
 full n x n common-neighbor product that the library's one-row-per-class
-product replaced.
+product replaced. Zero-divisors, units, nilpotents, primality, von Neumann
+regularity and both graphs come from the uncached per-call scans that the
+library's once-per-ring and once-per-ideal facts replaced: whole-table
+comparisons, the order x order product mask, and column reads. Ideals are
+also enumerated by the sum loop that forms every pairwise sum, which the
+library's containment skip replaced; that loop alone reuses library code,
+the mask sum and generator search that the skip left unchanged.
 """
 
 from math import gcd
 
 import numpy as np
 
-from zdglab import CapExceededError, FiniteRing, RingConsistencyError, nilpotents, zero_divisors
-from zdglab.rings import _poly_name
+from zdglab import CapExceededError, FiniteRing, Ideal, RingConsistencyError, nilpotents, zero_divisors
+from zdglab.ideals import _sum_mask, minimal_generators
+from zdglab.rings import _poly_name, table_mask
 
 ISO_SEARCH_CAP = 12
 
@@ -432,3 +439,80 @@ def cubic_validate_ring_axioms(r: FiniteRing) -> None:
         if not (lhs == rhs).all():
             i, b, c = np.argwhere(lhs != rhs)[0]
             raise RingConsistencyError(f"distributivity fails at ({lo + i},{b},{c})")
+
+
+# --- per-call table scans, each over the whole order x order table ------------
+
+
+def scan_zero_divisors(r: FiniteRing) -> np.ndarray:
+    """Z(R) as a mask, from the whole comparison ``mul_table == zero``."""
+    hits = r.mul_table == r.zero
+    hits[:, r.zero] = False
+    return hits.any(axis=1)
+
+
+def scan_units(r: FiniteRing) -> np.ndarray:
+    return (r.mul_table == r.one).any(axis=1)
+
+
+def scan_nilpotents(r: FiniteRing) -> np.ndarray:
+    e = np.arange(r.order, dtype=np.intp)
+    for _ in range(max(1, (r.order - 1).bit_length())):
+        e = r.mul_table.diagonal().take(e)
+    return e == r.zero
+
+
+def column_von_neumann_regular(r: FiniteRing) -> bool:
+    """Every x has a y with (x*y)*x = x, reading column x at row x's entries."""
+    mul = r.mul_table
+    for x in range(r.order):
+        if not (mul[:, x].take(mul[x]) == x).any():
+            return False
+    return True
+
+
+def triple_scan_is_prime(i: Ideal) -> bool:
+    """Proper, and no x, y outside I with x*y in I, on the product mask."""
+    if not i.is_proper:
+        return False
+    prod_in = table_mask(i.ring.mul_table, i.mask)
+    outside = ~i.mask
+    return not bool((prod_in & outside[:, None] & outside[None, :]).any())
+
+
+def _product_mask_graph(in_i: np.ndarray, prod_in: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """(vertices, adjacency) of the graph whose vertices are the x outside
+    ``in_i`` with ``prod_in[x, y]`` for some y outside, read off the order x
+    order mask ``prod_in`` of the products lying in ``in_i``."""
+    outside = ~in_i
+    varr = np.flatnonzero(outside & (prod_in & outside[None, :]).any(axis=1))
+    adj = prod_in[np.ix_(varr, varr)]
+    np.fill_diagonal(adj, False)
+    return tuple(varr.tolist()), adj
+
+
+def dense_gamma_ideal(r: FiniteRing, i: Ideal) -> tuple[tuple[int, ...], np.ndarray]:
+    return _product_mask_graph(i.mask, table_mask(r.mul_table, i.mask))
+
+
+def dense_gamma(r: FiniteRing) -> tuple[tuple[int, ...], np.ndarray]:
+    return _product_mask_graph(np.arange(r.order) == r.zero, r.mul_table == r.zero)
+
+
+def every_sum_all_ideals(r: FiniteRing) -> list[Ideal]:
+    """``all_ideals`` by the loop that forms the sum of every pair of ideals
+    found, contained pairs included, with the same order and generators."""
+    principal = np.zeros((r.order, r.order), dtype=bool)
+    principal[np.arange(r.order)[:, None], r.mul_table] = True
+    found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
+    for g, m in enumerate(principal):
+        found.setdefault(m.tobytes(), (m, (g,)))
+    for cur, _ in list(found.values()):
+        for other, _ in list(found.values()):
+            s = _sum_mask(r, cur, other)
+            key = s.tobytes()
+            if key not in found:
+                found[key] = (s, minimal_generators(r, s))
+    ideals = [Ideal(r, m, gens) for m, gens in found.values()]
+    ideals.sort(key=lambda i: (len(i), i.sorted_members()))
+    return ideals
