@@ -18,14 +18,12 @@ from .errors import (
     InvalidPolynomialError,
     RingConsistencyError,
     SpecParseError,
-    UnknownVertexError,
     ZdglabError,
 )
 from .rings import (
     DEFAULT_MAX_ORDER,
     ElementSet,
     FiniteRing,
-    annihilator,
     build_poly_quotient,
     build_zn,
     direct_product,
@@ -71,7 +69,6 @@ __all__ = [
     "CapExceededError",
     "ImproperIdealError",
     "RingConsistencyError",
-    "UnknownVertexError",
     "SpecParseError",
     "CatalogueError",
     "FiniteRing",
@@ -84,7 +81,6 @@ __all__ = [
     "is_reduced",
     "is_von_neumann_regular",
     "total_quotient_ring",
-    "annihilator",
     "validate_ring_axioms",
     "DEFAULT_MAX_ORDER",
     "Ideal",

@@ -33,10 +33,6 @@ class RingConsistencyError(ZdglabError, RuntimeError):
     """Ring tables violate an axiom; indicates corrupted construction data."""
 
 
-class UnknownVertexError(ZdglabError, ValueError):
-    """A vertex key is not present in the graph."""
-
-
 class SpecParseError(ZdglabError, ValueError):
     """Ring-spec string rejected; `position` is the character offset of the offending token."""
 

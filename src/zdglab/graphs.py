@@ -7,8 +7,9 @@ non-adjacent with identical neighborhoods. A graph is *complemented* when
 every vertex has an orthogonal partner, and *uniquely complemented* when
 additionally all orthogonal partners of a vertex are pairwise similar.
 
-A graph is its boolean adjacency matrix over the ascending vertex keys, and
-every predicate is read off that matrix. In a loop-free graph equal
+A graph's whole state is ``vertices`` (ascending keys), ``labels`` (one per
+vertex) and ``adj``, the boolean adjacency matrix in that order; every
+predicate is read off that matrix. In a loop-free graph equal
 neighborhoods already force non-adjacency, so similar vertices are exactly
 those with equal adjacency rows. An edge is orthogonal when its entry of
 A @ A (the common-neighbor count) is zero, which is triangle detection by
@@ -29,11 +30,11 @@ product mask is built.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ImproperIdealError, UnknownVertexError
+from .errors import ImproperIdealError
 from .ideals import Ideal
 from .rings import FiniteRing, row_blocks, zero_divisor_mask
 
@@ -67,42 +68,17 @@ def first_class_split(sel: np.ndarray, classes: np.ndarray) -> tuple[int, int] |
 
 
 class SimpleGraph:
-    """Undirected loop-free graph on integer vertex keys with display labels.
-
-    Vertices are kept in ascending key order, which makes every exported
-    artifact byte-deterministic; ``adj`` is the read-only boolean adjacency
-    matrix in that order. Immutable after construction.
+    """Undirected loop-free graph: ascending integer vertex keys, one display
+    label per vertex (a tuple aligned with ``vertices``), and ``adj``, the
+    read-only symmetric boolean adjacency matrix in that order. Ascending
+    keys make every exported artifact byte-deterministic. Immutable after
+    construction.
     """
 
-    def __init__(self, vertices: Iterable[int], labels: Mapping[int, str], edges, name: str = ""):
-        vs = sorted(int(v) for v in vertices)
-        if len(vs) != len(set(vs)):
-            raise ValueError("duplicate vertex keys")
-        pos = {v: k for k, v in enumerate(vs)}
-        adj = np.zeros((len(vs), len(vs)), dtype=bool)
-        for a, b in edges:
-            a, b = int(a), int(b)
-            if a == b:
-                raise ValueError("self-loops are not allowed")
-            if a not in pos or b not in pos:
-                raise UnknownVertexError(f"edge ({a},{b}) uses an unknown vertex")
-            adj[pos[a], pos[b]] = adj[pos[b], pos[a]] = True
-        self._init(vs, labels, adj, name)
-
-    @classmethod
-    def _from_matrix(
-        cls, vertices: Sequence[int], labels: Mapping[int, str], adj: np.ndarray, name: str
-    ) -> "SimpleGraph":
-        """Graph on ascending ``vertices`` from a symmetric loop-free matrix."""
-        g = cls.__new__(cls)
-        g._init(vertices, labels, adj, name)
-        return g
-
-    def _init(self, vs: Sequence[int], labels: Mapping[int, str], adj: np.ndarray, name: str) -> None:
+    def __init__(self, vertices: Sequence[int], labels: Sequence[str], adj: np.ndarray, name: str):
         self.name = str(name)
-        self.vertices = tuple(vs)
-        self.labels = {v: str(labels[v]) for v in vs}
-        self._pos = {v: k for k, v in enumerate(vs)}
+        self.vertices = tuple(vertices)
+        self.labels = tuple(labels)
         self.adj = np.ascontiguousarray(adj, dtype=bool)
         self.adj.setflags(write=False)
 
@@ -135,43 +111,10 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adj)) // 2
 
-    def _edge_positions(self):
+    def edges(self) -> list[tuple[int, int]]:
+        """Position pairs (i, j) with i < j of the edges, in row-major order."""
         ii, jj = np.nonzero(np.triu(self.adj, 1))
-        return zip(ii.tolist(), jj.tolist())
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        vs = self.vertices
-        return [(vs[i], vs[j]) for i, j in self._edge_positions()]
-
-    def _index(self, v: int) -> int:
-        if v not in self._pos:
-            raise UnknownVertexError(f"vertex {v!r} is not in the graph")
-        return self._pos[v]
-
-    def _keys(self, row: np.ndarray) -> tuple[int, ...]:
-        return tuple(self.vertices[k] for k in np.flatnonzero(row).tolist())
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self._keys(self.adj[self._index(v)]))
-
-    def adjacent(self, a: int, b: int) -> bool:
-        return bool(self.adj[self._index(a), self._index(b)])
-
-    def are_orthogonal(self, a: int, b: int) -> bool:
-        """Adjacent with no common neighbor."""
-        i, j = self._index(a), self._index(b)
-        if a == b:
-            raise ValueError("orthogonality needs two distinct vertices")
-        return bool(self.orth[i, j])
-
-    def are_similar(self, a: int, b: int) -> bool:
-        """Non-adjacent with identical neighborhoods; a vertex is similar to itself."""
-        i, j = self._index(a), self._index(b)
-        return bool((self.adj[i] == self.adj[j]).all())
-
-    def complements(self, a: int) -> tuple[int, ...]:
-        """All vertices orthogonal to ``a``, ascending."""
-        return self._keys(self.orth[self._index(a)])
+        return list(zip(ii.tolist(), jj.tolist()))
 
     def is_complemented(self) -> bool:
         """Every vertex has an orthogonal partner (vacuously true when empty)."""
@@ -188,19 +131,15 @@ class SimpleGraph:
         return (self.edge_count == n * (n - 1) // 2, n)
 
     def to_dot(self) -> str:
+        labels = [_dot_quote(label) for label in self.labels]
         lines = [f"graph {_dot_quote(self.name)} {{"]
-        for v in self.vertices:
-            lines.append(f"  {_dot_quote(self.labels[v])};")
-        for a, b in self.edge_list():
-            lines.append(f"  {_dot_quote(self.labels[a])} -- {_dot_quote(self.labels[b])};")
+        lines += [f"  {label};" for label in labels]
+        lines += [f"  {labels[i]} -- {labels[j]};" for i, j in self.edges()]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
-        return {
-            "vertices": [self.labels[v] for v in self.vertices],
-            "edges": [[i, j] for i, j in self._edge_positions()],
-        }
+        return {"vertices": list(self.labels), "edges": [[i, j] for i, j in self.edges()]}
 
     def __repr__(self) -> str:
         return f"SimpleGraph({self.name!r}, vertices={self.vertex_count}, edges={self.edge_count})"
@@ -217,7 +156,7 @@ def _ideal_graph(r: FiniteRing, in_i: np.ndarray, vertices: np.ndarray, name: st
         adj[block] = in_i[r.mul_table[varr[block]].take(varr, axis=1).astype(np.intp)]
     np.fill_diagonal(adj, False)
     verts = varr.tolist()
-    return SimpleGraph._from_matrix(verts, {v: r.element_names[v] for v in verts}, adj, name)
+    return SimpleGraph(verts, [r.element_names[v] for v in verts], adj, name)
 
 
 def gamma(r: FiniteRing) -> SimpleGraph:

@@ -408,13 +408,6 @@ def total_quotient_ring(r: FiniteRing) -> FiniteRing:
     return r
 
 
-def annihilator(r: FiniteRing, x: int) -> ElementSet:
-    """All a with a*x = 0."""
-    if not (isinstance(x, (int, np.integer)) and 0 <= x < r.order):
-        raise InvalidElementError(f"element index {x!r} out of range for order {r.order}")
-    return ElementSet(r, r.mul_table[int(x)] == r.zero)
-
-
 def _additive_generators(r: FiniteRing) -> list[int]:
     """Ascending nonzero g_1 < ... < g_k such that every element is a
     left-combed sum (...((g_a + g_b) + g_c) ...) of them, read off the

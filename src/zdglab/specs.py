@@ -14,7 +14,7 @@ Grammar (whitespace between tokens is ignored):
 mod p with leading coefficient 1. ``quot`` generators are element indices
 of the base ring (products index row-major, polynomial quotients by base-p
 digits). A ``polyq`` coefficient list ends at a comma followed by a spec,
-so ``prod(polyq:2:1,1,Zn:3)`` is a product. INT is a run of the ASCII
+so ``prod(polyq:2:1,1,Zn:3)`` is a product. INT is a run of at most nine ASCII
 digits 0-9, so no sign is accepted. Error positions are character offsets
 into the original string.
 """
@@ -78,6 +78,11 @@ def format_spec(node: SpecNode) -> str:
 
 _SPEC_STARTS = ("Zn:", "prod(", "polyq:", "quot(")
 
+# Every INT is an order, a modulus, a coefficient or an element index, all
+# below 10^9 for any ring whose tables fit in memory. The cap bounds int()
+# and the trial division of a polyq modulus (about 16k steps at 10^9).
+MAX_INT_DIGITS = 9
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -109,6 +114,8 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise SpecParseError("expected an integer", start)
+        if self.pos - start > MAX_INT_DIGITS:
+            raise SpecParseError(f"integer longer than {MAX_INT_DIGITS} digits", start)
         return int(self.text[start : self.pos]), start
 
     def int_list(self, *, stop_at_spec: bool = False) -> list[tuple[int, int]]:

@@ -131,8 +131,7 @@ def analyze_pair(ring: FiniteRing, ideal: Ideal, *, _corrupt_graph: bool = False
 
 def _drop_top_vertex(graph: SimpleGraph) -> SimpleGraph:
     # fault-injection hook: deterministically corrupt adjacency data
-    keep = graph.vertices[:-1]
-    return SimpleGraph._from_matrix(keep, graph.labels, graph.adj[:-1, :-1], graph.name)
+    return SimpleGraph(graph.vertices[:-1], graph.labels[:-1], graph.adj[:-1, :-1], graph.name)
 
 
 # --- checks -----------------------------------------------------------------

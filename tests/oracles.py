@@ -23,7 +23,15 @@ from math import gcd
 
 import numpy as np
 
-from zdglab import CapExceededError, FiniteRing, Ideal, RingConsistencyError, nilpotents, zero_divisors
+from zdglab import (
+    CapExceededError,
+    FiniteRing,
+    Ideal,
+    RingConsistencyError,
+    SimpleGraph,
+    nilpotents,
+    zero_divisors,
+)
 from zdglab.ideals import _sum_mask, minimal_generators
 from zdglab.rings import _poly_name, table_mask
 
@@ -142,6 +150,27 @@ def adj_from_edges(verts, edges) -> dict:
         adj[a].add(b)
         adj[b].add(a)
     return adj
+
+
+def graph_from_edges(vertices, edges, name: str = "") -> SimpleGraph:
+    """A ``SimpleGraph`` on the vertex keys ``vertices``, each labelled by its
+    decimal text, with the undirected ``edges`` given as key pairs. A
+    self-loop or an edge on an unknown key raises ValueError."""
+    vs = sorted(int(v) for v in vertices)
+    pos = {v: k for k, v in enumerate(vs)}
+    adj = np.zeros((len(vs), len(vs)), dtype=bool)
+    for a, b in edges:
+        if a == b:
+            raise ValueError("self-loops are not allowed")
+        if a not in pos or b not in pos:
+            raise ValueError(f"edge ({a},{b}) uses an unknown vertex")
+        adj[pos[a], pos[b]] = adj[pos[b], pos[a]] = True
+    return SimpleGraph(vs, [str(v) for v in vs], adj, name)
+
+
+def edge_keys(g: SimpleGraph) -> list[tuple[int, int]]:
+    """The edges of ``g`` as key pairs (a, b) with a < b, in row-major order."""
+    return [(g.vertices[i], g.vertices[j]) for i, j in g.edges()]
 
 
 def _additive_order(r: FiniteRing, x: int) -> int:

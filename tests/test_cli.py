@@ -190,6 +190,18 @@ def test_verify_bad_catalogue_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["Zn:" + "9" * 5000, "polyq:1000000000000000003:0,1"])
+def test_oversized_integer_is_an_input_error(spec, tmp_path, capsys):
+    assert main(["ring", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err and "9 digits" in err
+    cat = tmp_path / "cat.txt"
+    cat.write_text(f"Zn:8\n{spec}\n")
+    assert main(["verify", "--catalogue", str(cat), "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err and "line 2" in err
+
+
 def test_verify_progress_goes_to_stderr(tmp_path, capsys):
     cat = tmp_path / "cat.txt"
     cat.write_text("Zn:8\nZn:12\n")

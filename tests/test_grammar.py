@@ -97,3 +97,21 @@ def test_catalogue_line_errors_carry_offsets():
             parse_catalogue_line(text)
         assert err.value.position == pos, text
         assert fragment in str(err.value), text
+
+
+def test_integers_longer_than_nine_digits_are_rejected_at_their_offset():
+    # 5000 digits exceed int()'s default digit limit; a 19-digit polyq
+    # modulus would otherwise be trial-divided for hours
+    cases = [
+        ("Zn:" + "9" * 5000, 3),
+        ("polyq:1000000000000000003:0,1", 6),
+        ("polyq:3:1,0000000000,1", 10),
+        ("Zn:8 [2] [1234567890]", 10),
+    ]
+    for text, pos in cases:
+        with pytest.raises(SpecParseError) as err:
+            parse_catalogue_line(text)
+        assert err.value.position == pos, text[:40]
+        assert "9 digits" in str(err.value)
+    assert parse_ring_spec("Zn:999999999") == ZnNode(999999999)
+    assert parse_generators("000000007") == (7,)

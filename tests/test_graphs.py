@@ -12,8 +12,6 @@ import pytest
 
 from zdglab import (
     ImproperIdealError,
-    SimpleGraph,
-    UnknownVertexError,
     all_ideals,
     build_ring,
     build_zn,
@@ -31,7 +29,9 @@ from oracles import (
     adj_from_edges,
     dense_orth,
     dense_uniquely_complemented,
+    edge_keys,
     graph_complemented,
+    graph_from_edges,
     graph_orthogonal,
     graph_similar,
     graph_uniquely_complemented,
@@ -42,13 +42,27 @@ from oracles import (
 SCALE_CATALOGUE = Path(__file__).resolve().parents[1] / "perfbench" / "scale.cat"
 
 
+def row_keys(g, matrix, v):
+    """The vertex keys selected by the row of key ``v`` in a vertex x vertex
+    boolean ``matrix`` of ``g`` (``g.adj``: neighbors, ``g.orth``: complements)."""
+    return tuple(g.vertices[k] for k in np.flatnonzero(matrix[g.vertices.index(v)]))
+
+
+def orthogonal(g, a, b):
+    return bool(g.orth[g.vertices.index(a), g.vertices.index(b)])
+
+
+def similar(g, a, b):
+    return np.array_equal(g.adj[g.vertices.index(a)], g.adj[g.vertices.index(b)])
+
+
 def test_gamma_z6_is_a_path():
     verts, edges = zn_gamma_ideal(6, [])
     assert verts == [2, 3, 4] and edges == {(2, 3), (3, 4)}
     g = gamma(build_zn(6))
     assert g.vertices == (2, 3, 4)
-    assert g.edge_list() == [(2, 3), (3, 4)]
-    assert g.neighbors(3) == {2, 4}
+    assert edge_keys(g) == [(2, 3), (3, 4)]
+    assert row_keys(g, g.adj, 3) == (2, 4)
     assert is_connected(g) == (True, 2)
     assert g.is_complemented()
 
@@ -56,11 +70,11 @@ def test_gamma_z6_is_a_path():
 def test_gamma_z4_is_single_vertex():
     g = gamma(build_zn(4))
     assert g.vertices == (2,)
-    assert g.edge_list() == []
+    assert g.edges() == []
     assert g.is_complete() == (True, 1)
     assert not g.is_complemented()
     assert not g.is_uniquely_complemented()
-    assert g.neighbors(2) == frozenset()
+    assert row_keys(g, g.adj, 2) == ()
 
 
 def test_gamma_of_a_field_is_empty():
@@ -78,7 +92,7 @@ def test_gamma_ideal_z8_by_4_is_k2():
     r = build_zn(8)
     g = gamma_ideal(r, generate_ideal(r, [4]))
     assert g.vertices == (2, 6)
-    assert g.edge_list() == [(2, 6)]
+    assert edge_keys(g) == [(2, 6)]
     assert g.is_complete() == (True, 2)
     assert g.is_complemented() and g.is_uniquely_complemented()
 
@@ -90,15 +104,15 @@ def test_gamma_ideal_z12_by_6():
     r = build_zn(12)
     g = gamma_ideal(r, generate_ideal(r, [6]))
     assert g.vertices == tuple(verts)
-    assert set(g.edge_list()) == edges
+    assert set(edge_keys(g)) == edges
     assert g.vertex_count == 6 and g.edge_count == 8
     assert g.is_complemented() and g.is_uniquely_complemented()
     assert is_connected(g)[0] and is_connected(g)[1] <= 3
     # orthogonality and similarity spot checks
-    assert g.are_orthogonal(2, 3)
-    assert g.are_similar(2, 8)
-    assert not g.are_similar(2, 3)
-    assert g.complements(3) == (2, 4, 8, 10)
+    assert orthogonal(g, 2, 3) and orthogonal(g, 3, 2)
+    assert similar(g, 2, 8)
+    assert not similar(g, 2, 3)
+    assert row_keys(g, g.orth, 3) == (2, 4, 8, 10)
 
 
 def test_gamma_ideal_z16_by_4_is_k4_not_complemented():
@@ -120,7 +134,7 @@ def test_gamma_ideal_matches_oracle_on_zn_range():
             verts, edges = zn_gamma_ideal(n, [d])
             g = gamma_ideal(r, ideal)
             assert list(g.vertices) == verts, (n, d)
-            assert set(g.edge_list()) == edges, (n, d)
+            assert set(edge_keys(g)) == edges, (n, d)
 
 
 def test_gamma_ideal_zero_ideal_equals_gamma():
@@ -129,7 +143,7 @@ def test_gamma_ideal_zero_ideal_equals_gamma():
         g0 = gamma_ideal(r, generate_ideal(r, []))
         g = gamma(r)
         assert g0.vertices == g.vertices
-        assert g0.edge_list() == g.edge_list()
+        assert np.array_equal(g0.adj, g.adj)
 
 
 def test_gamma_ideal_rejects_improper_ideal():
@@ -145,40 +159,31 @@ def test_prime_ideal_gives_empty_graph():
     assert g.is_complemented() and g.is_uniquely_complemented()
 
 
-def test_orthogonality_errors():
-    g = gamma(build_zn(6))
-    with pytest.raises(ValueError):
-        g.are_orthogonal(2, 2)
-    with pytest.raises(UnknownVertexError):
-        g.are_orthogonal(2, 5)
-    with pytest.raises(UnknownVertexError):
-        g.neighbors(0)
-
-
-def test_similar_is_reflexive():
-    g = gamma(build_zn(6))
-    assert g.are_similar(2, 2)
-
-
 def test_complete_graph_k3_has_no_orthogonal_pairs():
-    g = SimpleGraph([0, 1, 2], {0: "a", 1: "b", 2: "c"}, [(0, 1), (1, 2), (0, 2)], name="K3")
+    g = graph_from_edges([0, 1, 2], [(0, 1), (1, 2), (0, 2)], name="K3")
     assert g.is_complete() == (True, 3)
-    for a in (0, 1, 2):
-        assert g.complements(a) == ()
+    assert not g.orth.any()
     assert not g.is_complemented()
 
 
 def test_path_on_three_vertices_is_not_complete():
-    g = SimpleGraph([0, 1, 2], {0: "a", 1: "b", 2: "c"}, [(0, 1), (1, 2)])
+    g = graph_from_edges([0, 1, 2], [(0, 1), (1, 2)])
     assert g.is_complete() == (False, 3)
     assert is_connected(g) == (True, 2)
 
 
-def test_simple_graph_rejects_loops_and_unknown_edges():
-    with pytest.raises(ValueError):
-        SimpleGraph([0, 1], {0: "a", 1: "b"}, [(0, 0)])
-    with pytest.raises(UnknownVertexError):
-        SimpleGraph([0, 1], {0: "a", 1: "b"}, [(0, 2)])
+def test_graph_from_edges_rejects_loops_and_unknown_edges():
+    # the edge-list checks of the test helper that builds fixture graphs
+    with pytest.raises(ValueError, match="self-loop"):
+        graph_from_edges([0, 1], [(0, 0)])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        graph_from_edges([0, 1], [(0, 2)])
+
+
+def _relation_matrix(g, adj, relation):
+    """The vertex x vertex boolean matrix of an oracle relation on ``adj``."""
+    rows = [[relation(adj, a, b) for b in g.vertices] for a in g.vertices]
+    return np.array(rows, dtype=bool).reshape(g.adj.shape)
 
 
 def test_predicates_match_naive_oracle():
@@ -191,15 +196,13 @@ def test_predicates_match_naive_oracle():
             if not ideal.is_proper:
                 continue
             for g in (gamma_ideal(r, ideal), gamma(quotient_ring(r, ideal)[0])):
-                adj = adj_from_edges(g.vertices, g.edge_list())
+                adj = adj_from_edges(g.vertices, edge_keys(g))
                 assert g.is_complemented() == graph_complemented(adj), g.name
                 assert g.is_uniquely_complemented() == graph_uniquely_complemented(adj), g.name
-                for a in g.vertices:
-                    others = [b for b in g.vertices if b != a]
-                    expected = tuple(b for b in others if graph_orthogonal(adj, a, b))
-                    assert g.complements(a) == expected, (g.name, a)
-                    for b in others:
-                        assert g.are_similar(a, b) == graph_similar(adj, a, b), (g.name, a, b)
+                assert np.array_equal(g.orth, _relation_matrix(g, adj, graph_orthogonal)), g.name
+                # similar vertices are exactly those with equal adjacency rows
+                equal_rows = (g.adj[:, None, :] == g.adj[None, :, :]).all(axis=2)
+                assert np.array_equal(equal_rows, _relation_matrix(g, adj, graph_similar)), g.name
                 graphs += 1
     assert graphs == 2520
 
@@ -208,12 +211,12 @@ def test_complements_with_equal_orthogonality_rows_are_not_similar():
     # vertex 0 has complements 1 and 2, each orthogonal to 0 alone; but 1 also
     # lies in the triangle 1-3-4, so their neighborhoods differ
     edges = [(0, 1), (0, 2), (1, 3), (1, 4), (3, 4), (3, 5), (4, 6)]
-    g = SimpleGraph(range(7), {v: str(v) for v in range(7)}, edges)
+    g = graph_from_edges(range(7), edges)
     adj = adj_from_edges(g.vertices, edges)
-    assert g.complements(0) == (1, 2)
-    assert g.complements(1) == g.complements(2) == (0,)
+    assert row_keys(g, g.orth, 0) == (1, 2)
+    assert row_keys(g, g.orth, 1) == row_keys(g, g.orth, 2) == (0,)
     assert g.is_complemented() and graph_complemented(adj)
-    assert not g.are_similar(1, 2)
+    assert not similar(g, 1, 2)
     assert not g.is_uniquely_complemented()
     assert not graph_uniquely_complemented(adj)
 
@@ -222,7 +225,7 @@ def test_complemented_non_k2_path_in_gamma_z8():
     # Gamma(Z_8) is the path 2 -- 4 -- 6: complemented and uniquely
     # complemented, yet not complete
     g = gamma(build_zn(8))
-    assert g.edge_list() == [(2, 4), (4, 6)]
+    assert edge_keys(g) == [(2, 4), (4, 6)]
     assert g.is_complemented()
     assert g.is_uniquely_complemented()
     assert g.is_complete() == (False, 3)
@@ -236,8 +239,8 @@ def test_gamma_z4xz2_complemented_but_not_uniquely():
     assert g.is_complemented()
     assert not g.is_uniquely_complemented()
     v01, v10, v20 = 1, 2, 4  # row-major pair indices in Z_4 x Z_2
-    assert set(g.complements(v01)) >= {v10, v20}
-    assert not g.are_similar(v10, v20)
+    assert set(row_keys(g, g.orth, v01)) >= {v10, v20}
+    assert not similar(g, v10, v20)
 
 
 def test_dot_export_is_deterministic():
@@ -271,7 +274,8 @@ def test_quotient_graph_uses_coset_labels():
     r = build_zn(12)
     q, _ = quotient_ring(r, generate_ideal(r, [6]))
     g = gamma(q)
-    assert [g.labels[v] for v in g.vertices] == ["2+I", "3+I", "4+I"]
+    assert g.vertices == (2, 3, 4)
+    assert g.labels == ("2+I", "3+I", "4+I")
 
 
 def _pair_graphs(entries):
@@ -315,22 +319,21 @@ def test_orth_matches_dense_product_on_default_catalogue():
 
 def _complete_bipartite(m, n):
     edges = [(a, m + b) for a in range(m) for b in range(n)]
-    return SimpleGraph(range(m + n), {v: str(v) for v in range(m + n)}, edges, name=f"K{m},{n}")
+    return graph_from_edges(range(m + n), edges, name=f"K{m},{n}")
 
 
 @pytest.mark.parametrize(
     "g",
     [
-        SimpleGraph([], {}, [], name="empty"),
-        SimpleGraph([0], {0: "0"}, [], name="K1"),
-        SimpleGraph(range(5), {v: str(v) for v in range(5)}, [(0, 1), (1, 2), (2, 3), (3, 4)], name="P5"),
+        graph_from_edges([], [], name="empty"),
+        graph_from_edges([0], [], name="K1"),
+        graph_from_edges(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)], name="P5"),
         _complete_bipartite(1, 1),
         _complete_bipartite(2, 3),
         _complete_bipartite(4, 4),
         # complements 1 and 2 of vertex 0 have equal orth rows, unequal adj rows
-        SimpleGraph(
-            range(7), {v: str(v) for v in range(7)},
-            [(0, 1), (0, 2), (1, 3), (1, 4), (3, 4), (3, 5), (4, 6)], name="equal-orth-rows",
+        graph_from_edges(
+            range(7), [(0, 1), (0, 2), (1, 3), (1, 4), (3, 4), (3, 5), (4, 6)], name="equal-orth-rows",
         ),
     ],
     ids=lambda g: g.name,
@@ -340,7 +343,7 @@ def test_orth_matches_dense_product_on_small_graphs(g):
 
 
 def test_path_and_complete_bipartite_classes():
-    path = SimpleGraph(range(5), {v: str(v) for v in range(5)}, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    path = graph_from_edges(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
     assert sorted(path._classes[1]) == [0, 1, 2, 3, 4]  # no two rows equal
     assert path.orth.sum() == 2 * 4
     k = _complete_bipartite(2, 3)
@@ -354,12 +357,13 @@ def test_orth_after_dropping_the_top_vertex():
     # of K_{2,2} and makes 0-2 orthogonal, so nothing of the parent's classes
     # or products carries over
     edges = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4)]
-    g = SimpleGraph(range(5), {v: str(v) for v in range(5)}, edges, name="twins-at-top")
+    g = graph_from_edges(range(5), edges, name="twins-at-top")
     assert len(g._classes[0]) == 5
-    assert not g.are_orthogonal(0, 2)
+    assert not orthogonal(g, 0, 2)
     _assert_orth_matches_dense(g)
     dropped = _drop_top_vertex(g)
+    assert dropped.vertices == (0, 1, 2, 3) and dropped.labels == ("0", "1", "2", "3")
     assert len(dropped._classes[0]) == 2
-    assert dropped.are_orthogonal(0, 2)
+    assert orthogonal(dropped, 0, 2)
     assert dropped.is_uniquely_complemented() and not g.is_complemented()
     _assert_orth_matches_dense(dropped)

@@ -129,14 +129,15 @@ def test_inflation_adjacency_structure(mini_pairs):
     for ring, ideal in mini_pairs:
         gi = gamma_ideal(ring, ideal)
         q, cmap = quotient_ring(ring, ideal)
-        for idx, x in enumerate(gi.vertices):
-            for y in gi.vertices[idx + 1 :]:
+        for i, x in enumerate(gi.vertices):
+            for j in range(i + 1, gi.vertex_count):
+                y = gi.vertices[j]
                 cx, cy = int(cmap[x]), int(cmap[y])
                 if cx != cy:
                     expected = int(q.mul_table[cx, cy]) == q.zero
                 else:
                     expected = int(q.mul_table[cx, cx]) == q.zero
-                assert gi.adjacent(x, y) == expected, (ring.spec, sorted(ideal.members), x, y)
+                assert gi.adj[i, j] == gi.adj[j, i] == expected, (ring.spec, sorted(ideal.members), x, y)
 
 
 def test_gamma_connected_with_small_diameter(mini_rings):
@@ -150,14 +151,15 @@ def test_gamma_connected_with_small_diameter(mini_rings):
 def test_relation_sanity(mini_rings):
     for ring in mini_rings:
         g = gamma(ring)
-        for a in g.vertices:
-            for b in g.vertices:
-                if a == b:
+        for i in range(g.vertex_count):
+            for j in range(g.vertex_count):
+                if i == j:
+                    assert not g.adj[i, j] and not g.orth[i, j]
                     continue
-                if g.are_orthogonal(a, b):
-                    assert g.adjacent(a, b)
-                if g.are_similar(a, b):
-                    assert not g.adjacent(a, b)
+                if g.orth[i, j]:
+                    assert g.adj[i, j] and g.orth[j, i]
+                if (g.adj[i] == g.adj[j]).all():  # similar
+                    assert not g.adj[i, j]
 
 
 def test_verdict_count_invariant(mini_pairs):

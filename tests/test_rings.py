@@ -12,12 +12,10 @@ import sympy
 from zdglab import (
     CapExceededError,
     FiniteRing,
-    InvalidElementError,
     InvalidModulusError,
     InvalidOrderError,
     InvalidPolynomialError,
     RingConsistencyError,
-    annihilator,
     build_poly_quotient,
     build_ring,
     build_zn,
@@ -208,27 +206,6 @@ def test_every_element_unit_or_zero_divisor():
         assert units == zn_units(n)
         assert units & zset == set()
         assert units | zset == set(range(n))
-
-
-def test_annihilator():
-    r = build_zn(6)
-    assert annihilator(r, 2).members == {0, 3}
-    assert annihilator(r, 0).members == set(range(6))
-    assert annihilator(r, 1).members == {0}
-    with pytest.raises(InvalidElementError):
-        annihilator(r, 6)
-
-
-def test_annihilator_is_an_ideal():
-    r = build_zn(12)
-    for x in range(12):
-        ann = annihilator(r, x).members
-        assert 0 in ann
-        for a in ann:
-            for b in ann:
-                assert int(r.add_table[a, b]) in ann
-            for s in range(12):
-                assert int(r.mul_table[s, a]) in ann
 
 
 def test_isomorphism_positive_cases():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from zdglab import (
@@ -35,7 +36,7 @@ from zdglab.verifier import (
     check_radical_equivalences,
 )
 
-from oracles import square_zero_ring
+from oracles import edge_keys, square_zero_ring
 
 
 def pair(spec, gens):
@@ -162,15 +163,20 @@ def test_check_annihilator_agreement():
 
 
 def with_gi_edges(analysis, edges):
-    """The same pair with Gamma_I(R) replaced by a graph on the same vertices."""
+    """The same pair with Gamma_I(R) replaced by the graph on the same
+    vertices and labels whose edges are the key pairs ``edges``."""
     g = analysis.gi
-    analysis.gi = SimpleGraph(g.vertices, g.labels, edges, name=g.name)
+    adj = np.zeros_like(g.adj)
+    for a, b in edges:
+        i, j = g.vertices.index(a), g.vertices.index(b)
+        adj[i, j] = adj[j, i] = True
+    analysis.gi = SimpleGraph(g.vertices, g.labels, adj, g.name)
     return analysis
 
 
 def with_edge_toggled(analysis, a, b):
     """The same pair with the edge {a, b} of Gamma_I(R) added or removed."""
-    return with_gi_edges(analysis, set(analysis.gi.edge_list()) ^ {(a, b)})
+    return with_gi_edges(analysis, set(edge_keys(analysis.gi)) ^ {(a, b)})
 
 
 def test_orthogonality_lifting_witnesses():
