@@ -20,6 +20,10 @@ below 2^24 exactly. The classes are the vertices of the compressed
 zero-divisor graph (Mulay, Comm. Algebra 30, 2002), and zero-divisor graphs
 have few of them (68 for the 2047 vertices of Gamma(Z_4096)).
 
+A graph's labels are the ring's element names at its vertices. They are
+built on the first read of ``SimpleGraph.labels``: only ``to_dot`` and
+``to_json_obj`` read them, and ``verify`` calls neither.
+
 ``gamma_ideal`` and ``gamma`` share one builder. Gamma_I(R) takes its
 vertices from the ideal's cached ``Ideal.vertex_mask`` and Gamma(R) from
 the ring's cached zero-divisor mask; each then gathers only the V x V block
@@ -30,7 +34,7 @@ product mask is built.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -73,14 +77,31 @@ class SimpleGraph:
     read-only symmetric boolean adjacency matrix in that order. Ascending
     keys make every exported artifact byte-deterministic. Immutable after
     construction.
+
+    ``labels`` may be given as a function returning them; it is called on
+    the first read of ``labels``, which only the exports make.
     """
 
-    def __init__(self, vertices: Sequence[int], labels: Sequence[str], adj: np.ndarray, name: str):
+    def __init__(
+        self,
+        vertices: Sequence[int],
+        labels: Sequence[str] | Callable[[], Iterable[str]],
+        adj: np.ndarray,
+        name: str,
+    ):
         self.name = str(name)
         self.vertices = tuple(vertices)
-        self.labels = tuple(labels)
+        self._labels = labels if callable(labels) else tuple(labels)
         self.adj = np.ascontiguousarray(adj, dtype=bool)
         self.adj.setflags(write=False)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """One display label per vertex, aligned with ``vertices``."""
+        labels = self._labels
+        if callable(labels):
+            labels = self._labels = tuple(labels())
+        return labels
 
     @cached_property
     def _classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +177,12 @@ def _ideal_graph(r: FiniteRing, in_i: np.ndarray, vertices: np.ndarray, name: st
         adj[block] = in_i[r.mul_table[varr[block]].take(varr, axis=1).astype(np.intp)]
     np.fill_diagonal(adj, False)
     verts = varr.tolist()
-    return SimpleGraph(verts, [r.element_names[v] for v in verts], adj, name)
+
+    def labels():
+        names = r.element_names
+        return (names[v] for v in verts)
+
+    return SimpleGraph(verts, labels, adj, name)
 
 
 def gamma(r: FiniteRing) -> SimpleGraph:

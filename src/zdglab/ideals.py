@@ -178,7 +178,8 @@ def is_prime(i: Ideal) -> bool:
 def quotient_ring(r: FiniteRing, i: Ideal) -> tuple[FiniteRing, np.ndarray]:
     """R/I on least-index coset representatives, plus the element -> coset map.
 
-    The quotient by the zero ideal is the ring itself (identity map).
+    The quotient by the zero ideal is the ring itself (identity map). Coset
+    x+I is named "x+I" after its least member x, on first read.
     """
     if not i.is_proper:
         raise ImproperIdealError("cannot form the quotient by the whole ring")
@@ -192,7 +193,12 @@ def quotient_ring(r: FiniteRing, i: Ideal) -> tuple[FiniteRing, np.ndarray]:
     cmap = np.searchsorted(rep_values, reps).astype(np.intp)
     add_q = cmap[r.add_table[np.ix_(rep_values, rep_values)]]
     mul_q = cmap[r.mul_table[np.ix_(rep_values, rep_values)]]
-    names = tuple(f"{r.element_names[v]}+I" for v in rep_values.tolist())
+    base_names = r._name_source()
+
+    def names():
+        base = base_names()
+        return (f"{base[v]}+I" for v in rep_values.tolist())
+
     gens = i.generators if i.generators else (r.zero,)
     spec = f"quot({r.spec};{','.join(str(g) for g in gens)})"
     q = FiniteRing(add_q, mul_q, names, spec, zero=int(cmap[r.zero]), one=int(cmap[r.one]))

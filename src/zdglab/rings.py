@@ -14,13 +14,17 @@ mask and the power array x^(2^k) with 2^k >= order. ``zero_divisors``,
 Each is one scan of ``mul_table`` in row blocks of ``_BLOCK_CELLS`` cells
 (the power array only reads the diagonal), so no order x order temporary
 is built for them.
+
+Element names are for display only, and no predicate reads them. The
+builders hand ``FiniteRing`` a function that makes them, and the names are
+built on the first read of ``element_names``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,11 +77,24 @@ class FiniteRing:
     an ideal, since the two tables are the only quadratic state. Two
     threads that fill one entry compute the same array, so the cache keeps
     the ring safe to share.
+
+    ``element_names`` is one display name per element. It may be given as a
+    sequence, which is length-checked here, or as a function returning one,
+    which is called and checked on the first read of ``element_names``. The
+    function is dropped after that read, together with whatever it refers to.
     """
 
-    __slots__ = ("order", "zero", "one", "add_table", "mul_table", "element_names", "spec", "_facts")
+    __slots__ = ("order", "zero", "one", "add_table", "mul_table", "_names", "spec", "_facts")
 
-    def __init__(self, add_table, mul_table, element_names, spec: str, zero: int, one: int):
+    def __init__(
+        self,
+        add_table,
+        mul_table,
+        element_names: Sequence[str] | Callable[[], Iterable[str]],
+        spec: str,
+        zero: int,
+        one: int,
+    ):
         add = np.asarray(add_table)
         mul = np.asarray(mul_table)
         n = int(add.shape[0]) if add.ndim == 2 else 0
@@ -103,9 +120,7 @@ class FiniteRing:
             raise RingConsistencyError("`zero` is not an additive identity")
         if not (mul[one] == idx).all():
             raise RingConsistencyError("`one` is not a multiplicative identity")
-        names = tuple(str(name) for name in element_names)
-        if len(names) != n:
-            raise RingConsistencyError("need exactly one display name per element")
+        names = element_names if callable(element_names) else _checked_names(element_names, n)
         add.setflags(write=False)
         mul.setflags(write=False)
         self.order = n
@@ -113,12 +128,35 @@ class FiniteRing:
         self.one = one
         self.add_table = add
         self.mul_table = mul
-        self.element_names = names
+        self._names = names
         self.spec = str(spec)
         self._facts: dict[str, np.ndarray] = {}
 
+    @property
+    def element_names(self) -> tuple[str, ...]:
+        """One display name per element, built on first read."""
+        names = self._names
+        if callable(names):
+            names = self._names = _checked_names(names(), self.order)
+        return names
+
+    def _name_source(self) -> Callable[[], tuple[str, ...]]:
+        """A function returning ``element_names`` that holds no reference to
+        the ring, so a ring built from this one does not keep its tables."""
+        names, order = self._names, self.order
+        if callable(names):
+            return lambda: _checked_names(names(), order)
+        return lambda: names
+
     def __repr__(self) -> str:
         return f"FiniteRing({self.spec!r}, order={self.order})"
+
+
+def _checked_names(names: Iterable[str], order: int) -> tuple[str, ...]:
+    names = tuple(str(name) for name in names)
+    if len(names) != order:
+        raise RingConsistencyError("need exactly one display name per element")
+    return names
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +164,7 @@ class ElementSet:
     """An immutable subset of a ring's elements.
 
     ``mask`` is a read-only boolean membership array over ``0..order-1`` and
-    the only state; ``members`` and iteration are derived from it. Instances
+    the only state; iteration and ``len`` are derived from it. Instances
     compare by identity (compare masks to compare subsets).
     """
 
@@ -141,14 +179,6 @@ class ElementSet:
             )
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
-
-    @property
-    def members(self) -> frozenset[int]:
-        """The members as a frozenset, rebuilt from the mask on each read."""
-        return frozenset(self)
-
-    def __contains__(self, x) -> bool:
-        return isinstance(x, (int, np.integer)) and 0 <= x < self.ring.order and bool(self.mask[x])
 
     def __iter__(self):
         return iter(np.flatnonzero(self.mask).tolist())
@@ -200,8 +230,7 @@ def build_zn(n: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
         block = np.multiply.outer(idx[rows], idx)
         block %= wide.type(n)
         mul[rows] = block
-    names = tuple(str(i) for i in range(n))
-    return FiniteRing(add, mul, names, f"Zn:{n}", zero=0, one=1)
+    return FiniteRing(add, mul, lambda: map(str, range(n)), f"Zn:{n}", zero=0, one=1)
 
 
 def _poly_name(digits: Sequence[int], p: int) -> str:
@@ -244,19 +273,23 @@ def build_poly_quotient(p: int, coeffs: Sequence[int], *, max_order: int = DEFAU
     digits need only rows with at most j, so each digit level is filled in
     row blocks, each one gather from ``add`` through a flat intp index
     a*order + b (a pair of narrow index arrays would be cast per element).
+
+    The order cap is checked before the primality test of ``p``, whose
+    trial division takes about sqrt(p) steps.
     """
-    if not _is_prime(p):
-        raise InvalidModulusError(f"polynomial modulus must be prime, got {p}")
     cs = [int(c) for c in coeffs]
     if len(cs) < 2:
         raise InvalidPolynomialError("quotient polynomial must have degree at least 1")
+    k = len(cs) - 1
+    order = p**k
+    if p >= 2:  # a smaller p is reported as a bad modulus, not by its power
+        _check_order_cap(order, max_order)
+    if not _is_prime(p):
+        raise InvalidModulusError(f"polynomial modulus must be prime, got {p}")
     if any(c < 0 or c >= p for c in cs):
         raise InvalidPolynomialError(f"coefficients must lie in 0..{p - 1}")
     if cs[-1] != 1:
         raise InvalidPolynomialError("quotient polynomial must be monic (leading coefficient 1)")
-    k = len(cs) - 1
-    order = p**k
-    _check_order_cap(order, max_order)
 
     add = zp_add = _cyclic_table(p, _table_dtype(p))
     for _ in range(k - 1):
@@ -278,8 +311,10 @@ def build_poly_quotient(p: int, coeffs: Sequence[int], *, max_order: int = DEFAU
             flat += times_x[mul[rows // p].astype(np.intp)]
             mul[block] = cells[flat]
 
-    digits = idx[:, None] // p ** np.arange(k, dtype=np.intp) % p
-    names = tuple(_poly_name(digits[i], p) for i in range(order))
+    def names():
+        digits = idx[:, None] // p ** np.arange(k, dtype=np.intp) % p
+        return (_poly_name(d, p) for d in digits)
+
     spec = f"polyq:{p}:{','.join(str(c) for c in cs)}"
     return FiniteRing(add, mul, names, spec, zero=0, one=1)
 
@@ -291,7 +326,12 @@ def direct_product(a: FiniteRing, b: FiniteRing, *, max_order: int = DEFAULT_MAX
     nb = b.order
     add = _pair_table(a.add_table, b.add_table)
     mul = _pair_table(a.mul_table, b.mul_table)
-    names = tuple(f"({x},{y})" for x in a.element_names for y in b.element_names)
+    a_names, b_names = a._name_source(), b._name_source()
+
+    def names():
+        right = b_names()
+        return (f"({x},{y})" for x in a_names() for y in right)
+
     zero = a.zero * nb + b.zero
     one = a.one * nb + b.one
     return FiniteRing(add, mul, names, f"prod({a.spec},{b.spec})", zero=zero, one=one)

@@ -12,6 +12,14 @@ hypotheses fail are counted as tested but not applicable, never as passes.
 
 Failures carry full witnesses (vertex indices, the separating alpha) so a
 counterexample can be replayed in isolation.
+
+Within one ``run_catalogue`` call each process keeps a memo of the quotient
+side of a pair: the vertex count and both complementation predicates of
+Gamma(R/I), von Neumann regularity of R/I and |Z(R/I)|. It is keyed on the
+exact tables of R/I, so it assumes nothing about the ring, and it holds
+only those five scalars. Gamma_I(R) is always built from R's own table.
+``verify`` reads no element name or graph label, and both are built only
+on first read (see ``rings`` and ``graphs``).
 """
 
 from __future__ import annotations
@@ -42,12 +50,12 @@ from .ideals import (
     generate_ideal,
     is_prime,
     quotient_ring,
-    radical,
 )
 from .rings import (
     DEFAULT_MAX_ORDER,
     FiniteRing,
     is_von_neumann_regular,
+    power_array,
     table_mask,
     total_quotient_ring,
     zero_divisors,
@@ -92,36 +100,85 @@ class PropertyVerdict:
     quotient_z_count: int
 
 
-class PairAnalysis:
-    """Everything the checks need about one (ring, proper ideal) pair."""
+# The quotient side of a pair by the exact tables of R/I, as
+# (zero, one, add bytes, mul bytes) -> (vertex count of Gamma(R/I),
+# complemented, uniquely complemented, quotient_vnr, quotient_z_count).
+# None outside ``run_catalogue``, which gives each of its processes a fresh
+# one. It is module state because a pool worker must keep it across the
+# chunks it is sent, and only the pool's initializer reaches the worker. A
+# value is a function of its key alone, so any sharing stays correct.
+_quotient_memo: dict[tuple, tuple] | None = None
 
-    __slots__ = ("ring", "ideal", "quotient", "coset_map", "gi", "gq", "radical", "verdict")
+
+def _set_quotient_memo(memo: dict | None) -> None:
+    global _quotient_memo
+    _quotient_memo = memo
+
+
+class PairAnalysis:
+    """Everything the checks need about one (ring, proper ideal) pair.
+
+    ``gq`` (Gamma(R/I)) is built when the quotient side is computed, or on
+    first read when that side came from the quotient memo.
+    """
+
+    __slots__ = ("ring", "ideal", "quotient", "coset_map", "gi", "_gq", "radical_mask", "verdict")
 
     def __init__(self, ring: FiniteRing, ideal: Ideal, *, _corrupt_graph: bool = False):
         self.ring = ring
         self.ideal = ideal
         self.quotient, self.coset_map = quotient_ring(ring, ideal)
-        total_quotient_ring(self.quotient)  # guard: regular elements are units
+        self._gq = None
+        q_vertices, q_complemented, q_unique, q_vnr, q_z = self._quotient_side()
         gi = gamma_ideal(ring, ideal)
         if _corrupt_graph and gi.vertex_count:
             gi = _drop_top_vertex(gi)
         self.gi = gi
-        self.gq = gamma(self.quotient)
-        self.radical = radical(ideal)
+        self.radical_mask = ideal.mask[power_array(ring)]
         self.verdict = PropertyVerdict(
             ring_spec=ring.spec,
             ideal_members=ideal.sorted_members(),
-            ideal_is_radical=bool(np.array_equal(self.radical.mask, ideal.mask)),
+            ideal_is_radical=bool(np.array_equal(self.radical_mask, ideal.mask)),
             ideal_is_prime=is_prime(ideal),
-            quotient_vertex_count=self.gq.vertex_count,
-            gi_vertex_count=self.gi.vertex_count,
-            gi_complemented=self.gi.is_complemented(),
-            gi_uniquely_complemented=self.gi.is_uniquely_complemented(),
-            quotient_graph_complemented=self.gq.is_complemented(),
-            quotient_graph_uniquely_complemented=self.gq.is_uniquely_complemented(),
-            quotient_vnr=is_von_neumann_regular(self.quotient),
-            quotient_z_count=len(zero_divisors(self.quotient)),
+            quotient_vertex_count=q_vertices,
+            gi_vertex_count=gi.vertex_count,
+            gi_complemented=gi.is_complemented(),
+            gi_uniquely_complemented=gi.is_uniquely_complemented(),
+            quotient_graph_complemented=q_complemented,
+            quotient_graph_uniquely_complemented=q_unique,
+            quotient_vnr=q_vnr,
+            quotient_z_count=q_z,
         )
+
+    def _quotient_side(self) -> tuple[int, bool, bool, bool, int]:
+        """The five quotient fields of the verdict, from the memo when it
+        has R/I's tables. The zero ideal skips the memo: R/(0) is R, whose
+        facts are cached on it, and keying a large R would copy its tables."""
+        q = self.quotient
+        memo = None if self.ideal.is_zero else _quotient_memo
+        if memo is not None:
+            key = (q.zero, q.one, q.add_table.tobytes(), q.mul_table.tobytes())
+            side = memo.get(key)
+            if side is not None:
+                return side
+        total_quotient_ring(q)  # guard: regular elements are units
+        gq = self.gq
+        side = (
+            gq.vertex_count,
+            gq.is_complemented(),
+            gq.is_uniquely_complemented(),
+            is_von_neumann_regular(q),
+            len(zero_divisors(q)),
+        )
+        if memo is not None:
+            memo[key] = side
+        return side
+
+    @property
+    def gq(self) -> SimpleGraph:
+        if self._gq is None:
+            self._gq = gamma(self.quotient)
+        return self._gq
 
 
 def analyze_pair(ring: FiniteRing, ideal: Ideal, *, _corrupt_graph: bool = False) -> PairAnalysis:
@@ -131,7 +188,7 @@ def analyze_pair(ring: FiniteRing, ideal: Ideal, *, _corrupt_graph: bool = False
 
 def _drop_top_vertex(graph: SimpleGraph) -> SimpleGraph:
     # fault-injection hook: deterministically corrupt adjacency data
-    return SimpleGraph(graph.vertices[:-1], graph.labels[:-1], graph.adj[:-1, :-1], graph.name)
+    return SimpleGraph(graph.vertices[:-1], lambda: graph.labels[:-1], graph.adj[:-1, :-1], graph.name)
 
 
 # --- checks -----------------------------------------------------------------
@@ -161,7 +218,7 @@ def check_nonradical_not_complemented(a: PairAnalysis):
     if not applicable:
         return False, None
     if a.verdict.gi_complemented:
-        witness = int(np.flatnonzero(a.radical.mask & ~a.ideal.mask)[0])
+        witness = int(np.flatnonzero(a.radical_mask & ~a.ideal.mask)[0])
         return True, {"gi_complemented": True, "radical_excess_element": witness}
     return True, None
 
@@ -453,6 +510,12 @@ def run_catalogue(
     Entries may be CatalogueEntry objects or plain spec strings. Results are
     merged in (ring_spec, ideal_members) order, so the report is byte-stable
     for any parallelism degree.
+
+    Each process that evaluates entries starts with an empty quotient memo:
+    this one at ``jobs`` 1, else every pool worker, through the pool's
+    initializer. The pool takes contiguous chunks of about a quarter of a
+    worker's share of the entries, which saves a round trip per entry and
+    gives each worker's memo related rings.
     """
     entries = [e if isinstance(e, CatalogueEntry) else CatalogueEntry(str(e)) for e in entries]
     if jobs is None or jobs < 1:
@@ -463,9 +526,14 @@ def run_catalogue(
     results: list[dict] = []
     with contextlib.ExitStack() as stack:
         if jobs > 1 and len(entries) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(entries))))
-            mapped = pool.map(evaluate, entries)
+            workers = min(jobs, len(entries))
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers, initializer=_set_quotient_memo, initargs=({},))
+            )
+            mapped = pool.map(evaluate, entries, chunksize=max(1, len(entries) // (4 * workers)))
         else:
+            _set_quotient_memo({})
+            stack.callback(_set_quotient_memo, None)
             mapped = map(evaluate, entries)
         for i, res in enumerate(mapped):
             results.append(res)

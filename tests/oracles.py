@@ -17,6 +17,11 @@ comparisons, the order x order product mask, and column reads. Ideals are
 also enumerated by the sum loop that forms every pairwise sum, which the
 library's containment skip replaced; that loop alone reuses library code,
 the mask sum and generator search that the skip left unchanged.
+Element names are built eagerly from the spec, as the builders did before
+names were made on first read. A pair's verdict comes from the quotient
+side computed afresh on every pair, which the verifier's per-run memo
+replaced. Members and membership of an element set are read off its mask
+here, since no library code needs them.
 """
 
 from math import gcd
@@ -25,17 +30,37 @@ import numpy as np
 
 from zdglab import (
     CapExceededError,
+    ElementSet,
     FiniteRing,
     Ideal,
+    PropertyVerdict,
     RingConsistencyError,
     SimpleGraph,
+    gamma,
+    gamma_ideal,
+    is_prime,
+    is_radical,
+    is_von_neumann_regular,
     nilpotents,
+    quotient_ring,
+    total_quotient_ring,
     zero_divisors,
 )
 from zdglab.ideals import _sum_mask, minimal_generators
 from zdglab.rings import _poly_name, table_mask
+from zdglab.specs import PolyqNode, ProdNode, ZnNode
 
 ISO_SEARCH_CAP = 12
+
+
+def members(s: ElementSet) -> frozenset[int]:
+    """The members of an element set, read off its mask."""
+    return frozenset(np.flatnonzero(s.mask).tolist())
+
+
+def contains(s: ElementSet, x) -> bool:
+    """Membership of ``x``: an element index of the ring with its mask bit set."""
+    return isinstance(x, (int, np.integer)) and 0 <= x < s.ring.order and bool(s.mask[x])
 
 
 def zn_zero_divisors(n: int) -> set[int]:
@@ -194,8 +219,8 @@ def is_isomorphic_small(a: FiniteRing, b: FiniteRing, *, max_order: int = ISO_SE
         return False
     n = a.order
 
-    nil_a, nil_b = nilpotents(a).members, nilpotents(b).members
-    zd_a, zd_b = zero_divisors(a).members, zero_divisors(b).members
+    nil_a, nil_b = members(nilpotents(a)), members(nilpotents(b))
+    zd_a, zd_b = members(zero_divisors(a)), members(zero_divisors(b))
     prof_a = [(_additive_order(a, x), x in nil_a, x in zd_a) for x in range(n)]
     prof_b = [(_additive_order(b, x), x in nil_b, x in zd_b) for x in range(n)]
     if sorted(prof_a) != sorted(prof_b):
@@ -267,16 +292,16 @@ def _principal_members(r: FiniteRing, g: int) -> frozenset[int]:
 
 
 def _additive_closure(r: FiniteRing, seed) -> frozenset[int]:
-    members = set(int(x) for x in seed)
-    members.add(r.zero)
-    frontier = sorted(members)
+    closed = set(int(x) for x in seed)
+    closed.add(r.zero)
+    frontier = sorted(closed)
     add = r.add_table
     while frontier:
-        sums = add[np.ix_(frontier, sorted(members))].ravel()
-        new = set(sums.tolist()) - members
-        members |= new
+        sums = add[np.ix_(frontier, sorted(closed))].ravel()
+        new = set(sums.tolist()) - closed
+        closed |= new
         frontier = sorted(new)
-    return frozenset(members)
+    return frozenset(closed)
 
 
 def set_generate_ideal(r: FiniteRing, gens) -> tuple[frozenset[int], tuple[int, ...]]:
@@ -545,3 +570,50 @@ def every_sum_all_ideals(r: FiniteRing) -> list[Ideal]:
     ideals = [Ideal(r, m, gens) for m, gens in found.values()]
     ideals.sort(key=lambda i: (len(i), i.sorted_members()))
     return ideals
+
+
+# --- eager element names and the un-memoised quotient side --------------------
+
+
+def eager_element_names(node) -> tuple[str, ...]:
+    """The element names of the ring a Zn, polyq or prod spec node describes,
+    built at once: i for Z_n, the base-p digit polynomial for polyq, and
+    "(x,y)" over row-major pairs for a product."""
+    if isinstance(node, ZnNode):
+        return tuple(str(i) for i in range(node.n))
+    if isinstance(node, PolyqNode):
+        p, k = node.p, len(node.coeffs) - 1
+        return tuple(_poly_name([i // p**j % p for j in range(k)], p) for i in range(p**k))
+    if isinstance(node, ProdNode):
+        left, right = eager_element_names(node.left), eager_element_names(node.right)
+        return tuple(f"({x},{y})" for x in left for y in right)
+    raise TypeError(f"no eager names for {node!r}")
+
+
+def eager_quotient_names(r: FiniteRing, coset_map: np.ndarray) -> tuple[str, ...]:
+    """The name "x+I" of each coset, x its least element, in coset order."""
+    cosets = int(coset_map.max()) + 1
+    return tuple(f"{r.element_names[int(np.flatnonzero(coset_map == c)[0])]}+I" for c in range(cosets))
+
+
+def unmemoised_verdict(r: FiniteRing, ideal: Ideal) -> PropertyVerdict:
+    """A pair's verdict with its quotient side computed afresh: the
+    total-quotient guard, Gamma(R/I) and its two predicates, von Neumann
+    regularity and |Z(R/I)|; radicality from ``is_radical``."""
+    q, _ = quotient_ring(r, ideal)
+    total_quotient_ring(q)
+    gi, gq = gamma_ideal(r, ideal), gamma(q)
+    return PropertyVerdict(
+        ring_spec=r.spec,
+        ideal_members=ideal.sorted_members(),
+        ideal_is_radical=is_radical(ideal),
+        ideal_is_prime=is_prime(ideal),
+        quotient_vertex_count=gq.vertex_count,
+        gi_vertex_count=gi.vertex_count,
+        gi_complemented=gi.is_complemented(),
+        gi_uniquely_complemented=gi.is_uniquely_complemented(),
+        quotient_graph_complemented=gq.is_complemented(),
+        quotient_graph_uniquely_complemented=gq.is_uniquely_complemented(),
+        quotient_vnr=is_von_neumann_regular(q),
+        quotient_z_count=len(zero_divisors(q)),
+    )

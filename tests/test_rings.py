@@ -12,6 +12,7 @@ import sympy
 from zdglab import (
     CapExceededError,
     FiniteRing,
+    all_ideals,
     InvalidModulusError,
     InvalidOrderError,
     InvalidPolynomialError,
@@ -21,22 +22,28 @@ from zdglab import (
     build_zn,
     default_catalogue,
     direct_product,
+    gamma_ideal,
     generate_ideal,
     is_reduced,
     is_von_neumann_regular,
     nilpotents,
+    parse_ring_spec,
     quotient_ring,
     total_quotient_ring,
     validate_ring_axioms,
     zero_divisors,
 )
 
+from zdglab import rings
 from zdglab.rings import table_mask
 
 from oracles import (
     conv_poly_quotient_tables,
+    eager_element_names,
+    eager_quotient_names,
     horner_poly_quotient_tables,
     is_isomorphic_small,
+    members,
     squarefree,
     zn_nilpotents,
     zn_units,
@@ -64,34 +71,34 @@ def test_build_zn_rejects_bad_orders():
 
 def test_zn2_is_a_field():
     r = build_zn(2)
-    assert zero_divisors(r).members == {0}
+    assert members(zero_divisors(r)) == {0}
     assert is_reduced(r) and is_von_neumann_regular(r)
 
 
 def test_zn6_zero_divisors():
     assert zn_zero_divisors(6) == {0, 2, 3, 4}
-    assert zero_divisors(build_zn(6)).members == {0, 2, 3, 4}
+    assert members(zero_divisors(build_zn(6))) == {0, 2, 3, 4}
 
 
 def test_zn4_has_exactly_two_zero_divisors():
     # |Z| = 2 happens exactly for the two 4-element non-reduced rings
     z = zero_divisors(build_zn(4))
-    assert z.members == {0, 2}
+    assert members(z) == {0, 2}
     assert len(z) == 2
 
 
 def test_zero_divisors_match_oracle_small_range():
     for n in range(2, 40):
-        assert zero_divisors(build_zn(n)).members == zn_zero_divisors(n), n
+        assert members(zero_divisors(build_zn(n))) == zn_zero_divisors(n), n
 
 
 def test_nilpotents():
     assert zn_nilpotents(12) == {0, 6}
-    assert nilpotents(build_zn(12)).members == {0, 6}
-    assert nilpotents(build_zn(6)).members == {0}
-    assert nilpotents(build_zn(7)).members == {0}
+    assert members(nilpotents(build_zn(12))) == {0, 6}
+    assert members(nilpotents(build_zn(6))) == {0}
+    assert members(nilpotents(build_zn(7))) == {0}
     for n in range(2, 40):
-        assert nilpotents(build_zn(n)).members == zn_nilpotents(n), n
+        assert members(nilpotents(build_zn(n))) == zn_nilpotents(n), n
 
 
 def test_is_reduced():
@@ -121,7 +128,7 @@ def test_poly_quotient_x_squared():
     assert r.order == 4
     assert r.element_names == ("0", "1", "x", "x+1")
     assert r.spec == "polyq:2:0,0,1"
-    assert zero_divisors(r).members == {0, 2}  # {0, x}
+    assert members(zero_divisors(r)) == {0, 2}  # {0, x}
     assert not is_reduced(r)
 
 
@@ -131,7 +138,7 @@ def test_poly_quotient_field_of_four_elements():
     assert sympy.Poly(x**2 + x + 1, x, modulus=2).is_irreducible
     r = build_poly_quotient(2, [1, 1, 1])
     assert r.order == 4
-    assert zero_divisors(r).members == {0}
+    assert members(zero_divisors(r)) == {0}
     assert is_reduced(r) and is_von_neumann_regular(r)
 
 
@@ -160,6 +167,18 @@ def test_poly_quotient_validation():
         build_poly_quotient(3, [1, 1, 2])  # not monic
 
 
+def test_poly_quotient_checks_the_order_cap_before_primality(monkeypatch):
+    # trial division of 10^18 + 3, a prime, takes about 5 * 10^8 steps
+    def no_primality_test(p):
+        raise AssertionError(f"primality of {p} tested before the order cap")
+
+    monkeypatch.setattr(rings, "_is_prime", no_primality_test)
+    with pytest.raises(CapExceededError, match="exceeds the cap"):
+        build_poly_quotient(10**18 + 3, [0, 1])
+    with pytest.raises(CapExceededError):
+        build_poly_quotient(2, [1] * 14)  # order 2^13
+
+
 def test_direct_product_z2_z3():
     r = direct_product(build_zn(2), build_zn(3))
     assert r.order == 6
@@ -177,7 +196,7 @@ def test_direct_product_of_fields_is_reduced():
 def test_direct_product_z4_z2_nilpotents():
     r = direct_product(build_zn(4), build_zn(2))
     # row-major pair indices: (0,0) -> 0, (2,0) -> 4
-    assert nilpotents(r).members == {0, 4}
+    assert members(nilpotents(r)) == {0, 4}
     assert not is_reduced(r)
 
 
@@ -201,7 +220,7 @@ def test_total_quotient_ring_flags_regular_nonunit():
 def test_every_element_unit_or_zero_divisor():
     for n in range(2, 30):
         r = build_zn(n)
-        zset = zero_divisors(r).members
+        zset = members(zero_divisors(r))
         units = {x for x in range(n) if any(r.mul_table[x, y] == 1 for y in range(n))}
         assert units == zn_units(n)
         assert units & zset == set()
@@ -342,3 +361,30 @@ def test_table_mask_over_several_row_blocks():
     mask = generate_ideal(r, [6]).mask
     for table in (r.mul_table, r.add_table, r.mul_table[[3, 5, 299]]):
         assert np.array_equal(table_mask(table, mask), mask[table.astype(np.int64)])
+
+
+def test_names_built_on_first_read_equal_eager_names_on_the_default_catalogue():
+    for entry in default_catalogue():
+        node = parse_ring_spec(entry.spec)
+        ring = build_ring(node)
+        assert callable(ring._names), entry.spec
+        # quotients first, so that each takes its names from a ring whose
+        # own names are not built yet
+        pairs = [(i, *quotient_ring(ring, i)) for i in all_ideals(ring) if i.is_proper and not i.is_zero]
+        graphs = [gamma_ideal(ring, i) for i, _, _ in pairs]
+        for (ideal, q, cmap), gi in zip(pairs, graphs):
+            assert q.element_names == eager_quotient_names(ring, cmap), (entry.spec, ideal)
+            assert gi.labels == tuple(ring.element_names[v] for v in gi.vertices)
+        assert ring.element_names == eager_element_names(node), entry.spec
+        assert ring._names is ring.element_names
+
+
+def test_names_are_length_checked_when_given_and_when_built():
+    z2 = build_zn(2)
+    with pytest.raises(RingConsistencyError, match="one display name per element"):
+        FiniteRing(z2.add_table, z2.mul_table, ("0",), "short:Zn:2", zero=0, one=1)
+    lazy = FiniteRing(z2.add_table, z2.mul_table, lambda: ("0",), "short:Zn:2", zero=0, one=1)
+    with pytest.raises(RingConsistencyError, match="one display name per element"):
+        lazy.element_names
+    named = FiniteRing(z2.add_table, z2.mul_table, ["zero", "one"], "named:Zn:2", zero=0, one=1)
+    assert named.element_names == ("zero", "one")

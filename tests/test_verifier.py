@@ -271,6 +271,31 @@ def test_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # chunks of one entry; at jobs 3 one entry per worker
+        ["Zn:12", "prod(Zn:2,Zn:4)", "polyq:2:0,0,1"],
+        # chunks of 5 entries at jobs 2 and of 3 at jobs 3
+        default_catalogue()[::9],
+    ],
+    ids=["three-entries", "forty-default-entries"],
+)
+def test_report_is_identical_at_jobs_1_2_and_3(entries):
+    assert len(entries) in (3, 40)
+    serial = run_catalogue(entries, description="d", jobs=1).to_json()
+    for jobs in (2, 3):
+        assert run_catalogue(entries, description="d", jobs=jobs).to_json() == serial, jobs
+
+
+def test_analyze_pair_builds_no_names_or_labels():
+    ring = build_ring("prod(Zn:4,polyq:2:0,0,1)")
+    a = analyze_pair(ring, generate_ideal(ring, [2]))
+    assert not a.ideal.is_zero and a.gi.vertex_count and a.gq.vertex_count
+    assert callable(ring._names) and callable(a.quotient._names)
+    assert callable(a.gi._labels) and callable(a.gq._labels)
+
+
 def test_verdicts_sorted_by_ring_spec_then_members():
     report = run_catalogue(["Zn:12", "Zn:8"], description="d")
     keys = [(v.ring_spec, v.ideal_members) for v in report.verdicts]
