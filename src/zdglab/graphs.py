@@ -8,17 +8,28 @@ every vertex has an orthogonal partner, and *uniquely complemented* when
 additionally all orthogonal partners of a vertex are pairwise similar.
 
 A graph's whole state is ``vertices`` (ascending keys), ``labels`` (one per
-vertex) and ``adj``, the boolean adjacency matrix in that order; every
-predicate is read off that matrix. In a loop-free graph equal
-neighborhoods already force non-adjacency, so similar vertices are exactly
-those with equal adjacency rows. An edge is orthogonal when its entry of
-A @ A (the common-neighbor count) is zero, which is triangle detection by
-matrix product (Itai & Rodeh, SIAM J. Comput. 7(4), 1978). Vertices with
-equal rows of A have equal rows of A @ A, so only one row per class of
-equal adjacency rows is multiplied, in float32, which holds every count
-below 2^24 exactly. The classes are the vertices of the compressed
-zero-divisor graph (Mulay, Comm. Algebra 30, 2002), and zero-divisor graphs
-have few of them (68 for the 2047 vertices of Gamma(Z_4096)).
+vertex) and ``adj``, the boolean adjacency matrix in that order, which the
+constructor checks is square, symmetric and loop-free; every predicate is
+read off that matrix. In a loop-free graph equal neighborhoods already force
+non-adjacency, so similar vertices are exactly those with equal adjacency
+rows. These classes are the vertices of the compressed zero-divisor graph
+(Mulay, Comm. Algebra 30, 2002; Spiroff & Wickham, Comm. Algebra 39, 2011),
+and zero-divisor graphs have few of them (68 for the 2047 vertices of
+Gamma(Z_4096)).
+
+Both predicates are decided on that class graph. Let C be the c x c block
+of ``adj`` between the first vertices of the classes. By symmetry and equal
+rows, a vertex of class i and one of class l are adjacent exactly when
+C[i, l], and x is a common neighbor of both exactly when C[i, k] and
+C[k, l] for the class k of x; no loop means C[i, i] is false. So the two
+vertices are orthogonal exactly when C[i, l] and no class k has C[i, k] and
+C[k, l]. The common-neighbor test runs on the rows of C packed into 64-bit
+words, one AND per word, and only on the adjacent class pairs i < l. A
+vertex is complemented exactly when its class has a lone (orthogonal)
+partner class, and its complements are pairwise similar exactly when that
+partner class is unique. The vertex x vertex matrix of orthogonal pairs,
+``SimpleGraph.orth``, is gathered from the class matrix only when a caller
+reads it.
 
 A graph's labels are the ring's element names at its vertices. They are
 built on the first read of ``SimpleGraph.labels``: only ``to_dot`` and
@@ -50,13 +61,24 @@ def _dot_quote(s: str) -> str:
 def row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, labels) for the rows of a 2-D boolean array: rows share a
     label exactly when they are equal, and ``first[c]`` is the index of the
-    first row with label c."""
-    rows = np.ascontiguousarray(rows, dtype=bool)
+    first row with label c. The rows are sorted stably as packed bits, whose
+    byte order is the rows' lexicographic order, so labels rank the rows and
+    each run of equal rows starts at its first row. This is ``np.unique``
+    with ``return_index`` and ``return_inverse``, less the wrapper that
+    outweighs the sort on the few-row graphs most catalogue pairs have."""
+    rows = np.asarray(rows, dtype=bool)
     if rows.shape[1] == 0:
         return np.zeros(min(1, rows.shape[0]), dtype=np.intp), np.zeros(rows.shape[0], dtype=np.intp)
-    keys = rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
-    _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
-    return first, labels
+    packed = np.packbits(rows, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    new[1:] = ranked[1:] != ranked[:-1]
+    labels = np.empty(len(keys), dtype=np.intp)
+    labels[order] = new.cumsum() - 1
+    return order[new], labels
 
 
 def first_class_split(sel: np.ndarray, classes: np.ndarray) -> tuple[int, int] | None:
@@ -76,7 +98,9 @@ class SimpleGraph:
     label per vertex (a tuple aligned with ``vertices``), and ``adj``, the
     read-only symmetric boolean adjacency matrix in that order. Ascending
     keys make every exported artifact byte-deterministic. Immutable after
-    construction.
+    construction. An ``adj`` that is not square over the vertices, not
+    symmetric or has a loop raises ``ValueError``: the class-graph
+    predicates are exact only on such a matrix.
 
     ``labels`` may be given as a function returning them; it is called on
     the first read of ``labels``, which only the exports make.
@@ -92,8 +116,16 @@ class SimpleGraph:
         self.name = str(name)
         self.vertices = tuple(vertices)
         self._labels = labels if callable(labels) else tuple(labels)
-        self.adj = np.ascontiguousarray(adj, dtype=bool)
-        self.adj.setflags(write=False)
+        adj = np.ascontiguousarray(adj, dtype=bool)
+        n = len(self.vertices)
+        if adj.shape != (n, n):
+            raise ValueError(f"adjacency matrix of {n} vertices has shape {adj.shape}")
+        if np.count_nonzero(adj.diagonal()):
+            raise ValueError("adjacency matrix has a loop")
+        if np.count_nonzero(adj != adj.T):
+            raise ValueError("adjacency matrix is not symmetric")
+        adj.setflags(write=False)
+        self.adj = adj
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -109,18 +141,45 @@ class SimpleGraph:
         return row_classes(self.adj)
 
     @cached_property
+    def _lone(self) -> np.ndarray:
+        """c x c boolean matrix over the classes of ``_classes``: the class
+        pairs whose vertices are orthogonal (see the module docstring).
+
+        C is the block of ``adj`` between the classes' first vertices, its
+        rows packed into 64-bit words. Each adjacent pair i < l is tested
+        for a common neighbor class with one AND per word, in blocks of
+        pairs, and the verdict is written at (i, l) and (l, i).
+        """
+        first = self._classes[0]
+        c = len(first)
+        bits = np.zeros((c, -(-c // 64) * 64), dtype=bool)
+        bits[:, :c] = self.adj.take(first, axis=0).take(first, axis=1)
+        words = np.packbits(bits, axis=1).view(np.uint64)
+        ii, ll = np.divmod(bits.ravel().nonzero()[0], bits.shape[1])
+        upper = ii < ll
+        ii, ll = ii[upper], ll[upper]
+        lone = np.zeros((c, c), dtype=bool)
+        for block in row_blocks(len(ii), words.shape[1]):
+            i, l = ii[block], ll[block]
+            lone[i, l] = lone[l, i] = ~(words[i] & words[l]).any(axis=1)
+        return lone
+
+    @cached_property
+    def _partners(self) -> np.ndarray:
+        """The number of lone partner classes of each class."""
+        return self._lone.sum(axis=1)
+
+    @cached_property
     def orth(self) -> np.ndarray:
         """Read-only boolean matrix of orthogonal pairs: edges in no triangle.
 
-        Row v of A @ A depends only on row v of A, so the product R @ A is
-        taken over the rows R of the first vertex of each class of equal
-        rows, and every vertex reads the zero pattern of its class's row.
-        It runs in float32 through BLAS; common-neighbor counts stay below
-        the vertex count, far inside float32's exact range.
+        Gathered from the class matrix ``_lone`` at each vertex's class on
+        the first read; the predicates never read it. The argument that two
+        vertices' orthogonality depends only on their classes needs ``adj``
+        symmetric and loop-free, which the constructor checks.
         """
-        first, labels = self._classes
-        a = self.adj.astype(np.float32)
-        orth = self.adj & ((a[first] @ a) == 0)[labels]
+        labels = self._classes[1]
+        orth = self._lone.take(labels, axis=0).take(labels, axis=1)
         orth.setflags(write=False)
         return orth
 
@@ -138,13 +197,15 @@ class SimpleGraph:
         return list(zip(ii.tolist(), jj.tolist()))
 
     def is_complemented(self) -> bool:
-        """Every vertex has an orthogonal partner (vacuously true when empty)."""
-        return bool(self.orth.any(axis=1).all())
+        """Every vertex has an orthogonal partner (vacuously true when empty):
+        every class has a lone partner class."""
+        return bool(self._partners.all())
 
     def is_uniquely_complemented(self) -> bool:
         """Complemented, and the complements of each vertex are pairwise
-        similar: each row of ``orth`` selects a single adjacency-row class."""
-        return self.is_complemented() and first_class_split(self.orth, self._classes[1]) is None
+        similar. Similar vertices are the classes of equal adjacency rows,
+        so this is: every class has exactly one lone partner class."""
+        return bool((self._partners == 1).all())
 
     def is_complete(self) -> tuple[bool, int]:
         """(all distinct pairs adjacent, vertex count) -- i.e. whether this is K^n."""

@@ -23,7 +23,7 @@ built on the first read of ``element_names``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -164,12 +164,14 @@ class ElementSet:
     """An immutable subset of a ring's elements.
 
     ``mask`` is a read-only boolean membership array over ``0..order-1`` and
-    the only state; iteration and ``len`` are derived from it. Instances
-    compare by identity (compare masks to compare subsets).
+    the only input; iteration and ``len`` are derived from it, the size
+    counted once at construction. Instances compare by identity (compare
+    masks to compare subsets).
     """
 
     ring: FiniteRing
     mask: np.ndarray
+    _size: int = field(init=False, repr=False)
 
     def __post_init__(self):
         mask = np.array(self.mask, dtype=bool)
@@ -179,12 +181,13 @@ class ElementSet:
             )
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_size", int(np.count_nonzero(mask)))
 
     def __iter__(self):
         return iter(np.flatnonzero(self.mask).tolist())
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return self._size
 
 
 def _is_prime(n: int) -> bool:

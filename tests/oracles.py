@@ -9,11 +9,14 @@ Horner-rule builder replaced, and from that builder's row-by-row Horner
 loop on int64 tables, which its per-digit-level fill replaced.
 Ring axioms are checked by the O(n^3) scan over every triple that the
 library's generator-based validator replaced. Orthogonality comes from the
-full n x n common-neighbor product that the library's one-row-per-class
-product replaced. Zero-divisors, units, nilpotents, primality, von Neumann
-regularity and both graphs come from the uncached per-call scans that the
-library's once-per-ring and once-per-ideal facts replaced: whole-table
-comparisons, the order x order product mask, and column reads. Ideals are
+full n x n common-neighbor product, and from the one-row-per-class float32
+product that the library's bit-packed test on the class graph replaced;
+classes of equal rows come from ``np.unique`` over unpacked boolean rows,
+which the library's sort of packed rows replaced. Zero-divisors, units,
+nilpotents, primality, von Neumann regularity and both graphs come from
+the uncached per-call scans that the library's once-per-ring and
+once-per-ideal facts replaced: whole-table comparisons, the order x order
+product mask, and column reads. Ideals are
 also enumerated by the sum loop that forms every pairwise sum, which the
 library's containment skip replaced; that loop alone reuses library code,
 the mask sum and generator search that the skip left unchanged.
@@ -158,6 +161,26 @@ def dense_orth(adj: np.ndarray) -> np.ndarray:
     common-neighbor product A @ A, one row per vertex."""
     a = adj.astype(np.float32)
     return adj & ((a @ a) == 0)
+
+
+def per_class_orth(adj: np.ndarray) -> np.ndarray:
+    """Orthogonal pairs from the common-neighbor product of one row per class
+    of equal rows, R @ A in float32 through BLAS, each vertex reading its
+    class's row: the library's computation before the class-graph test."""
+    first, labels = unpacked_row_classes(adj)
+    a = adj.astype(np.float32)
+    return adj & ((a[first] @ a) == 0)[labels]
+
+
+def unpacked_row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``row_classes`` by ``np.unique`` over the unpacked boolean rows, each
+    row one void key of one byte per column."""
+    rows = np.ascontiguousarray(rows, dtype=bool)
+    if rows.shape[1] == 0:
+        return np.zeros(min(1, rows.shape[0]), dtype=np.intp), np.zeros(rows.shape[0], dtype=np.intp)
+    keys = rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
+    _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
+    return first, labels
 
 
 def dense_uniquely_complemented(adj: np.ndarray) -> bool:

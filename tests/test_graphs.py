@@ -1,18 +1,24 @@
 """Zero-divisor graphs and the complemented / uniquely-complemented predicates.
 
 Graph fixtures over Z_n are cross-checked against the brute-force oracle
-in ``oracles.py`` and frozen as literals; the per-class orthogonality
-product is checked against the dense one, ``oracles.dense_orth``.
+in ``oracles.py`` and frozen as literals; the class-graph predicates and
+the ``orth`` gathered from them are checked against the dense product
+``oracles.dense_orth`` and the per-class product ``oracles.per_class_orth``
+that they replaced.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zdglab import (
     ImproperIdealError,
+    SimpleGraph,
     all_ideals,
+    analyze_pair,
     build_ring,
     build_zn,
     default_catalogue,
@@ -36,6 +42,8 @@ from oracles import (
     graph_similar,
     graph_uniquely_complemented,
     is_connected,
+    per_class_orth,
+    unpacked_row_classes,
     zn_gamma_ideal,
 )
 
@@ -292,17 +300,104 @@ def _pair_graphs(entries):
 
 
 def _assert_orth_matches_dense(g):
-    assert np.array_equal(g.orth, dense_orth(g.adj)), g.name
+    dense = dense_orth(g.adj)
+    assert g.is_complemented() == bool(dense.any(axis=1).all()), g.name
     assert g.is_uniquely_complemented() == dense_uniquely_complemented(g.adj), g.name
+    assert np.array_equal(g.orth, dense), g.name
+    assert np.array_equal(g.orth, per_class_orth(g.adj)), g.name
+    first, labels = g._classes
+    expected_first, expected_labels = unpacked_row_classes(g.adj)
+    assert np.array_equal(first, expected_first) and np.array_equal(labels, expected_labels), g.name
 
 
 def test_orth_matches_dense_product_on_scale_catalogue():
+    # every scale graph and the graph made from it by dropping its top vertex
     entries = parse_catalogue_text(SCALE_CATALOGUE.read_text(encoding="utf-8"))
     graphs = list(_pair_graphs(entries))
     assert len(graphs) == 24
     assert max(g.vertex_count for g in graphs) == 2047  # Gamma(Z_4096)
     for g in graphs:
         _assert_orth_matches_dense(g)
+        if g.vertex_count:
+            _assert_orth_matches_dense(_drop_top_vertex(g))
+
+
+def test_orth_matches_dense_product_with_sixteen_words_per_class_row():
+    # Gamma(Z_2^10): every vertex is its own class (c = V = 1022, 16 words a
+    # row), x and y are orthogonal exactly when their supports partition
+    # {1..10}, so each vertex has a single complement
+    spec = "Zn:2"
+    for _ in range(9):
+        spec = f"prod(Zn:2,{spec})"
+    g = gamma(build_ring(spec))
+    assert g.vertex_count == len(g._classes[0]) == 1022
+    _assert_orth_matches_dense(g)
+    assert g.is_uniquely_complemented() and g.orth.sum() == 1022
+    dropped = _drop_top_vertex(g)
+    _assert_orth_matches_dense(dropped)
+    assert not dropped.is_complemented()  # the complement of the top vertex is gone
+
+
+def _planted_graph(classes, seed):
+    """A symmetric loop-free graph made from the class graph ``classes``:
+    each class expanded to 1-3 vertices with equal rows, the vertices in a
+    shuffled order."""
+    rng = np.random.default_rng(seed)
+    members = np.repeat(np.arange(len(classes)), rng.integers(1, 4, len(classes)))
+    rng.shuffle(members)
+    return SimpleGraph(range(len(members)), lambda: (), classes[np.ix_(members, members)], "planted")
+
+
+def _random_class_graph(count, density, seed):
+    upper = np.triu(np.random.default_rng(seed).random((count, count)) < density, 1)
+    return upper | upper.T
+
+
+def _boolean_class_graph(bits, flips, seed):
+    """The classes of Gamma(F_2^bits), the nonempty proper subsets of
+    {1..bits}, adjacent when disjoint (uniquely complemented), with
+    ``flips`` random class pairs toggled."""
+    subsets = np.arange(1, 2**bits - 1)
+    classes = (subsets[:, None] & subsets[None, :]) == 0
+    rng = np.random.default_rng(seed)
+    for _ in range(flips):
+        i, j = rng.choice(len(subsets), 2, replace=False)
+        classes[i, j] = classes[j, i] = not classes[i, j]
+    return classes
+
+
+PLANTED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@pytest.mark.parametrize(
+    "counts, bits", [((1, 63), (2, 6)), ((80, 150), (7, 7))], ids=["one-word", "several-words"]
+)
+@PLANTED
+@given(data=st.data())
+def test_orth_matches_dense_product_on_planted_graphs(counts, bits, data):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    if data.draw(st.booleans(), label="boolean"):
+        classes = _boolean_class_graph(
+            data.draw(st.integers(*bits), label="bits"), data.draw(st.integers(0, 6), label="flips"), seed
+        )
+    else:
+        density = data.draw(st.sampled_from([0.02, 0.05, 0.1, 0.3, 0.7]), label="density")
+        classes = _random_class_graph(data.draw(st.integers(*counts), label="count"), density, seed)
+    g = _planted_graph(classes, seed)
+    # classes left with equal rows by the draw merge; stay on one side of 64
+    assume((len(g._classes[0]) <= 64) == (counts[1] <= 64))
+    _assert_orth_matches_dense(g)
+    if g.vertex_count:
+        _assert_orth_matches_dense(_drop_top_vertex(g))
+
+
+def test_verdict_of_the_zero_ideal_pair_at_the_cap_never_gathers_orth():
+    ring = build_ring("Zn:4096")
+    analysis = analyze_pair(ring, generate_ideal(ring, []))
+    assert not analysis.verdict.gi_complemented and not analysis.verdict.gi_uniquely_complemented
+    for g in (analysis.gi, analysis.gq):
+        assert g.vertex_count == 2047 and len(g._classes[0]) == 68
+        assert "_lone" in vars(g) and "orth" not in vars(g)
 
 
 def test_orth_matches_dense_product_on_default_catalogue():
@@ -340,6 +435,24 @@ def _complete_bipartite(m, n):
 )
 def test_orth_matches_dense_product_on_small_graphs(g):
     _assert_orth_matches_dense(g)
+
+
+def test_graph_rejects_adjacency_that_is_not_square_symmetric_and_loop_free():
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[0, 1] = adj[1, 0] = True
+    SimpleGraph(range(3), "abc", adj, "ok")
+    with pytest.raises(ValueError, match="shape"):
+        SimpleGraph(range(3), "abc", adj[:, :2], "not square")
+    with pytest.raises(ValueError, match="shape"):
+        SimpleGraph(range(2), "ab", adj, "more rows than vertices")
+    asymmetric = adj.copy()
+    asymmetric[1, 2] = True
+    with pytest.raises(ValueError, match="symmetric"):
+        SimpleGraph(range(3), "abc", asymmetric, "asymmetric")
+    looped = adj.copy()
+    looped[2, 2] = True
+    with pytest.raises(ValueError, match="loop"):
+        SimpleGraph(range(3), "abc", looped, "looped")
 
 
 def test_path_and_complete_bipartite_classes():

@@ -246,3 +246,15 @@ def test_reduced_quotient_iff_radical_ideal():
             if i.is_proper:
                 q, _ = quotient_ring(r, i)
                 assert is_reduced(q) == is_radical(i), (n, sorted(members(i)))
+
+
+def test_element_set_size_is_counted_at_construction(monkeypatch):
+    r = build_ring("prod(Zn:4,Zn:6)")
+    sets = [*all_ideals(r), zero_divisors(r)]
+    sizes = [len(members(s)) for s in sets]
+
+    def recount(*args, **kwargs):
+        raise AssertionError("len() recounted the mask")
+
+    monkeypatch.setattr(np, "count_nonzero", recount)
+    assert [len(s) for s in sets] == sizes
