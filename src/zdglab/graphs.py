@@ -31,6 +31,12 @@ partner class is unique. The vertex x vertex matrix of orthogonal pairs,
 ``SimpleGraph.orth``, is gathered from the class matrix only when a caller
 reads it.
 
+The classes and the class matrix depend on ``adj`` alone, not on the vertex
+keys. During ``verifier.run_catalogue`` each process keeps them in a memo,
+``_class_memo``, keyed on the exact adjacency matrix, so a matrix that
+recurs (empty graphs among them) is decided once per process. A hit gives
+positions only, and every witness maps them through its own graph's keys.
+
 A graph's labels are the ring's element names at its vertices. They are
 built on the first read of ``SimpleGraph.labels``: only ``to_dot`` and
 ``to_json_obj`` read them, and ``verify`` calls neither.
@@ -51,34 +57,11 @@ import numpy as np
 
 from .errors import ImproperIdealError
 from .ideals import Ideal
-from .rings import FiniteRing, row_blocks, zero_divisor_mask
+from .rings import FiniteRing, packed_row_classes, packed_words, row_blocks, zero_divisor_mask
 
 
 def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, labels) for the rows of a 2-D boolean array: rows share a
-    label exactly when they are equal, and ``first[c]`` is the index of the
-    first row with label c. The rows are sorted stably as packed bits, whose
-    byte order is the rows' lexicographic order, so labels rank the rows and
-    each run of equal rows starts at its first row. This is ``np.unique``
-    with ``return_index`` and ``return_inverse``, less the wrapper that
-    outweighs the sort on the few-row graphs most catalogue pairs have."""
-    rows = np.asarray(rows, dtype=bool)
-    if rows.shape[1] == 0:
-        return np.zeros(min(1, rows.shape[0]), dtype=np.intp), np.zeros(rows.shape[0], dtype=np.intp)
-    packed = np.packbits(rows, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
-    order = keys.argsort(kind="stable")
-    ranked = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    new[1:] = ranked[1:] != ranked[:-1]
-    labels = np.empty(len(keys), dtype=np.intp)
-    labels[order] = new.cumsum() - 1
-    return order[new], labels
 
 
 def first_class_split(sel: np.ndarray, classes: np.ndarray) -> tuple[int, int] | None:
@@ -91,6 +74,37 @@ def first_class_split(sel: np.ndarray, classes: np.ndarray) -> tuple[int, int] |
     if not split.any():
         return None
     return divmod(int(split.argmax()), sel.shape[1])
+
+
+# The class graph of each adjacency matrix decided in this process, as
+# (V, rows of adj packed into bits) -> SimpleGraph._classes. None outside
+# ``verifier.run_catalogue``, which gives each of its processes a fresh one
+# (see ``verifier._set_memos``). A value is a function of its key alone: the
+# classes and the lone matrix are read off adj, never off the vertex keys or
+# labels, so graphs sharing a matrix may share an entry.
+_class_memo: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+
+
+def _lone_classes(adj: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """c x c boolean matrix over the classes whose first vertices are
+    ``first``: the class pairs whose vertices are orthogonal (see the
+    module docstring).
+
+    C is the block of ``adj`` between the classes' first vertices, its rows
+    packed into 64-bit words. Each adjacent pair i < l is tested for a
+    common neighbor class with one AND per word, in blocks of pairs, and
+    the verdict is written at (i, l) and (l, i).
+    """
+    between = adj.take(first, axis=0).take(first, axis=1)
+    words = packed_words(between)
+    ii, ll = between.nonzero()
+    upper = ii < ll
+    ii, ll = ii[upper], ll[upper]
+    lone = np.zeros(between.shape, dtype=bool)
+    for block in row_blocks(len(ii), words.shape[1]):
+        i, l = ii[block], ll[block]
+        lone[i, l] = lone[l, i] = ~(words[i] & words[l]).any(axis=1)
+    return lone
 
 
 class SimpleGraph:
@@ -122,8 +136,9 @@ class SimpleGraph:
             raise ValueError(f"adjacency matrix of {n} vertices has shape {adj.shape}")
         if np.count_nonzero(adj.diagonal()):
             raise ValueError("adjacency matrix has a loop")
-        if np.count_nonzero(adj != adj.T):
-            raise ValueError("adjacency matrix is not symmetric")
+        for rows in row_blocks(n, n):  # the upper triangle, with no V x V temporary
+            if (adj[rows, rows.start :] != adj[rows.start :, rows].T).any():
+                raise ValueError("adjacency matrix is not symmetric")
         adj.setflags(write=False)
         self.adj = adj
 
@@ -136,50 +151,42 @@ class SimpleGraph:
         return labels
 
     @cached_property
-    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """``row_classes(adj)``: the classes of similar vertices."""
-        return row_classes(self.adj)
-
-    @cached_property
-    def _lone(self) -> np.ndarray:
-        """c x c boolean matrix over the classes of ``_classes``: the class
-        pairs whose vertices are orthogonal (see the module docstring).
-
-        C is the block of ``adj`` between the classes' first vertices, its
-        rows packed into 64-bit words. Each adjacent pair i < l is tested
-        for a common neighbor class with one AND per word, in blocks of
-        pairs, and the verdict is written at (i, l) and (l, i).
-        """
-        first = self._classes[0]
-        c = len(first)
-        bits = np.zeros((c, -(-c // 64) * 64), dtype=bool)
-        bits[:, :c] = self.adj.take(first, axis=0).take(first, axis=1)
-        words = np.packbits(bits, axis=1).view(np.uint64)
-        ii, ll = np.divmod(bits.ravel().nonzero()[0], bits.shape[1])
-        upper = ii < ll
-        ii, ll = ii[upper], ll[upper]
-        lone = np.zeros((c, c), dtype=bool)
-        for block in row_blocks(len(ii), words.shape[1]):
-            i, l = ii[block], ll[block]
-            lone[i, l] = lone[l, i] = ~(words[i] & words[l]).any(axis=1)
-        return lone
+    def _classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(first, labels, lone), read-only: ``row_classes(adj)``, the
+        classes of similar vertices, and ``_lone_classes`` of them. Taken
+        from the class memo when it holds this ``adj``, else computed and,
+        while a memo is set, stored in it."""
+        packed = np.packbits(self.adj, axis=1)
+        memo = _class_memo
+        if memo is not None:
+            key = (len(self.vertices), packed.tobytes())
+            classes = memo.get(key)
+            if classes is not None:
+                return classes
+        first, labels = packed_row_classes(packed)
+        classes = (first, labels, _lone_classes(self.adj, first))
+        for part in classes:
+            part.setflags(write=False)
+        if memo is not None:
+            memo[key] = classes
+        return classes
 
     @cached_property
     def _partners(self) -> np.ndarray:
         """The number of lone partner classes of each class."""
-        return self._lone.sum(axis=1)
+        return self._classes[2].sum(axis=1)
 
     @cached_property
     def orth(self) -> np.ndarray:
         """Read-only boolean matrix of orthogonal pairs: edges in no triangle.
 
-        Gathered from the class matrix ``_lone`` at each vertex's class on
-        the first read; the predicates never read it. The argument that two
-        vertices' orthogonality depends only on their classes needs ``adj``
-        symmetric and loop-free, which the constructor checks.
+        Gathered from the class matrix of ``_classes`` at each vertex's
+        class on the first read; the predicates never read it. The argument
+        that two vertices' orthogonality depends only on their classes needs
+        ``adj`` symmetric and loop-free, which the constructor checks.
         """
-        labels = self._classes[1]
-        orth = self._lone.take(labels, axis=0).take(labels, axis=1)
+        _, labels, lone = self._classes
+        orth = lone.take(labels, axis=0).take(labels, axis=1)
         orth.setflags(write=False)
         return orth
 

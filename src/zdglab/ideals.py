@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapExceededError, ImproperIdealError, InvalidElementError
-from .rings import ElementSet, FiniteRing, power_array, row_blocks
+from .rings import ElementSet, FiniteRing, packed_words, power_array, row_blocks, row_classes
 
 DEFAULT_IDEAL_ENUMERATION_CAP = 256
 
@@ -86,7 +86,7 @@ def _principal_mask(r: FiniteRing, g: int) -> np.ndarray:
 
 def _sum_mask(r: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask of the ideal sum a + b (a sum of ideals is an ideal)."""
-    return _mask_of(r, r.add_table[np.ix_(np.flatnonzero(a), np.flatnonzero(b))])
+    return _mask_of(r, r.add_table.take(np.flatnonzero(a), axis=0).take(np.flatnonzero(b), axis=1))
 
 
 def generate_ideal(r: FiniteRing, gens: Iterable[int]) -> Ideal:
@@ -118,32 +118,57 @@ def minimal_generators(r: FiniteRing, mask: np.ndarray) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def _incomparable(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """len(a) x len(b) boolean matrix of the pairs of rows of ``a`` and
+    ``b`` (packed by ``packed_words``) where neither set contains the other,
+    decided in row blocks of ``a``."""
+    out = np.empty((len(a), len(b)), dtype=bool)
+    for rows in row_blocks(len(a), len(b) * a.shape[1]):
+        x, y = a[rows, None, :], b[None, :, :]
+        out[rows] = (x & ~y).any(axis=2) & (y & ~x).any(axis=2)
+    return out
+
+
 def all_ideals(r: FiniteRing, *, max_order: int = DEFAULT_IDEAL_ENUMERATION_CAP) -> list[Ideal]:
     """Every ideal of the ring, zero ideal and whole ring included.
 
-    Adds each principal ideal, in turn, to every ideal found so far. After
-    the t-th principal ideal the sum of any of the first t is found, and every
-    ideal of a finite ring is the sum of the principal ideals of its
-    members, so the result is complete. The principal ideals come from one
-    scatter of the multiplication table (row g of the matrix is the mask of
-    Rg), and each keeps its least generator. Sorted by (size, member
+    Every ideal of a finite ring is the sum of the principal ideals of its
+    members, so the principal ideals closed under sums are all of them. The
+    principal ideals come from one flat scatter of the multiplication table
+    (row g of the matrix is the mask of Rg) and one ``row_classes`` sort of
+    its rows, and each keeps its least generator. Then, round by round, each
+    ideal first found in the previous round (the principal ones in the
+    first) is added to every principal ideal. Containment of all those pairs
+    is decided at once on the masks packed into words, and only incomparable
+    pairs are summed, since a contained pair sums to an ideal already found.
+    A new sum gets ``minimal_generators`` and joins the next round; the
+    rounds end when one finds nothing new. Sorted by (size, member
     sequence).
     """
     if r.order > max_order:
         raise CapExceededError(f"ideal enumeration allows order <= {max_order}, ring has {r.order}")
-    principal = np.zeros((r.order, r.order), dtype=bool)
-    principal[np.arange(r.order)[:, None], r.mul_table] = True
-    found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
-    for g, m in enumerate(principal):
-        found.setdefault(m.tobytes(), (m, (g,)))
-    for cur, _ in list(found.values()):
-        for other, _ in list(found.values()):
-            if not (other & ~cur).any() or not (cur & ~other).any():
-                continue  # one contains the other, so the sum is found already
-            s = _sum_mask(r, cur, other)
+    n = r.order
+    flat = r.mul_table.astype(np.intp)
+    flat += np.arange(0, n * n, n)[:, None]
+    principal = np.zeros((n, n), dtype=bool)
+    np.put(principal, flat, True)
+    first = row_classes(principal)[0]
+    base = principal[first]
+    found = {m.tobytes(): (m, (g,)) for g, m in zip(first.tolist(), base)}
+    base_words = packed_words(base)
+    fresh = base
+    while len(fresh):
+        apart = _incomparable(packed_words(fresh), base_words)
+        if fresh is base:
+            apart = np.triu(apart, 1)  # a sum of two principal ideals, each pair once
+        new = []
+        for i, j in zip(*np.nonzero(apart)):
+            s = _sum_mask(r, fresh[i], base[j])
             key = s.tobytes()
             if key not in found:
                 found[key] = (s, minimal_generators(r, s))
+                new.append(s)
+        fresh = np.array(new, dtype=bool).reshape(len(new), n)
     ideals = [Ideal(r, m, gens) for m, gens in found.values()]
     ideals.sort(key=lambda i: (len(i), i.sorted_members()))
     return ideals
@@ -191,8 +216,8 @@ def quotient_ring(r: FiniteRing, i: Ideal) -> tuple[FiniteRing, np.ndarray]:
     reps = r.add_table[:, mem].min(axis=1)
     rep_values = np.unique(reps)
     cmap = np.searchsorted(rep_values, reps).astype(np.intp)
-    add_q = cmap[r.add_table[np.ix_(rep_values, rep_values)]]
-    mul_q = cmap[r.mul_table[np.ix_(rep_values, rep_values)]]
+    add_q = cmap[r.add_table.take(rep_values, axis=0).take(rep_values, axis=1)]
+    mul_q = cmap[r.mul_table.take(rep_values, axis=0).take(rep_values, axis=1)]
     base_names = r._name_source()
 
     def names():

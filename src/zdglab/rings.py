@@ -53,6 +53,42 @@ def row_blocks(stop: int, width: int, start: int = 0) -> Iterator[slice]:
         yield slice(lo, min(lo + step, stop))
 
 
+def packed_words(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D boolean array packed into 64-bit words, each row
+    zero-padded to a whole number of words."""
+    bits = np.zeros((len(rows), -(-rows.shape[1] // 64) * 64), dtype=bool)
+    bits[:, : rows.shape[1]] = rows
+    return np.packbits(bits, axis=1).view(np.uint64)
+
+
+def row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, labels) for the rows of a 2-D boolean array: rows share a
+    label exactly when they are equal, and ``first[c]`` is the index of the
+    first row with label c. See ``packed_row_classes``."""
+    return packed_row_classes(np.packbits(np.asarray(rows, dtype=bool), axis=1))
+
+
+def packed_row_classes(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``row_classes`` of boolean rows given packed into bits (uint8, as
+    ``np.packbits(rows, axis=1)`` makes them). The rows are sorted stably as
+    packed bits, whose byte order is the rows' lexicographic order, so
+    labels rank the rows and each run of equal rows starts at its first row.
+    This is ``np.unique`` with ``return_index`` and ``return_inverse``, less
+    the wrapper that outweighs the sort on the few-row inputs most catalogue
+    rings and graphs have."""
+    if packed.shape[1] == 0:
+        return np.zeros(min(1, packed.shape[0]), dtype=np.intp), np.zeros(packed.shape[0], dtype=np.intp)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    new[1:] = ranked[1:] != ranked[:-1]
+    labels = np.empty(len(keys), dtype=np.intp)
+    labels[order] = new.cumsum() - 1
+    return order[new], labels
+
+
 def _table_dtype(order: int) -> np.dtype:
     """The dtype of both tables of a ring of this order: the narrowest
     unsigned integer dtype holding 0..order-1."""
@@ -423,15 +459,19 @@ def is_von_neumann_regular(r: FiniteRing) -> bool:
     """True when every x admits a y with x*y*x = x (exhaustive search).
 
     Row x of ``mul_table`` read at its own entries gives x*(x*y) for every
-    y, which is (x*y)*x in a commutative ring; reading the row keeps every
-    access contiguous, where column x would be strided.
+    y, which is (x*y)*x in a commutative ring. The rows are read in row
+    blocks, each one flat ``take`` through x*order + x*y, and the scan
+    returns at the first block holding a non-regular x.
     """
-    # a loop on purpose: it stops at the first non-regular x, and regular
-    # rings are rarely large, so it beats a vectorised scan over all x
-    mul = r.mul_table
-    for x in range(r.order):
-        row = mul[x]
-        if not (row.take(row) == x).any():
+    n, mul = r.order, r.mul_table
+    cells = mul.ravel()
+    row_starts = np.arange(0, n * n, n, dtype=np.intp)
+    # compared in the table dtype: widening each block's products costs more
+    # than the gather
+    own = np.arange(n, dtype=mul.dtype)
+    for rows in row_blocks(n, n):
+        products = cells.take(mul[rows] + row_starts[rows, None])
+        if not (products == own[rows, None]).any(axis=1).all():
             return False
     return True
 

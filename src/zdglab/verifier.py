@@ -18,6 +18,9 @@ side of a pair: the vertex count and both complementation predicates of
 Gamma(R/I), von Neumann regularity of R/I and |Z(R/I)|. It is keyed on the
 exact tables of R/I, so it assumes nothing about the ring, and it holds
 only those five scalars. Gamma_I(R) is always built from R's own table.
+Each such process also keeps ``graphs._class_memo``, the class graph of
+each adjacency matrix it has decided, keyed on the exact matrix; both memos
+are set together by ``_set_memos`` and are None outside a run.
 ``verify`` reads no element name or graph label, and both are built only
 on first read (see ``rings`` and ``graphs``).
 """
@@ -34,7 +37,7 @@ import json
 
 import numpy as np
 
-from . import __version__
+from . import __version__, graphs
 from .errors import (
     CapExceededError,
     CatalogueError,
@@ -42,7 +45,7 @@ from .errors import (
     InvalidElementError,
     SpecParseError,
 )
-from .graphs import SimpleGraph, first_class_split, gamma, gamma_ideal, row_classes
+from .graphs import SimpleGraph, first_class_split, gamma, gamma_ideal
 from .ideals import (
     DEFAULT_IDEAL_ENUMERATION_CAP,
     Ideal,
@@ -56,6 +59,7 @@ from .rings import (
     FiniteRing,
     is_von_neumann_regular,
     power_array,
+    row_classes,
     table_mask,
     total_quotient_ring,
     zero_divisors,
@@ -104,15 +108,19 @@ class PropertyVerdict:
 # (zero, one, add bytes, mul bytes) -> (vertex count of Gamma(R/I),
 # complemented, uniquely complemented, quotient_vnr, quotient_z_count).
 # None outside ``run_catalogue``, which gives each of its processes a fresh
-# one. It is module state because a pool worker must keep it across the
-# chunks it is sent, and only the pool's initializer reaches the worker. A
-# value is a function of its key alone, so any sharing stays correct.
+# one, together with a fresh ``graphs._class_memo``. Both are module state
+# because a pool worker must keep them across the chunks it is sent, and
+# only the pool's initializer reaches the worker. A value is a function of
+# its key alone, so any sharing stays correct.
 _quotient_memo: dict[tuple, tuple] | None = None
 
 
-def _set_quotient_memo(memo: dict | None) -> None:
+def _set_memos(fresh: bool) -> None:
+    """Give this process an empty quotient memo and an empty class memo, or
+    none of either."""
     global _quotient_memo
-    _quotient_memo = memo
+    _quotient_memo = {} if fresh else None
+    graphs._class_memo = {} if fresh else None
 
 
 class PairAnalysis:
@@ -299,7 +307,7 @@ def check_orthogonality_lifting(a: PairAnalysis):
     cosets = a.coset_map[np.asarray(gi.vertices, dtype=np.intp)]
     pos = np.searchsorted(np.asarray(gq.vertices, dtype=np.intp), cosets)
     same = cosets[:, None] == cosets[None, :]
-    lifted = gq.orth[np.ix_(pos, pos)] & ~same
+    lifted = gq.orth.take(pos, axis=0).take(pos, axis=1) & ~same
     bad = np.triu(gi.orth != lifted, 1)
     if not bad.any():
         return True, None
@@ -511,11 +519,12 @@ def run_catalogue(
     merged in (ring_spec, ideal_members) order, so the report is byte-stable
     for any parallelism degree.
 
-    Each process that evaluates entries starts with an empty quotient memo:
-    this one at ``jobs`` 1, else every pool worker, through the pool's
-    initializer. The pool takes contiguous chunks of about a quarter of a
-    worker's share of the entries, which saves a round trip per entry and
-    gives each worker's memo related rings.
+    Each process that evaluates entries starts with an empty quotient memo
+    and an empty class memo: this one at ``jobs`` 1, else every pool
+    worker, through the pool's initializer. The pool takes contiguous
+    chunks of about a quarter of a worker's share of the entries, which
+    saves a round trip per entry and gives each worker's memos related
+    rings.
     """
     entries = [e if isinstance(e, CatalogueEntry) else CatalogueEntry(str(e)) for e in entries]
     if jobs is None or jobs < 1:
@@ -528,12 +537,12 @@ def run_catalogue(
         if jobs > 1 and len(entries) > 1:
             workers = min(jobs, len(entries))
             pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=workers, initializer=_set_quotient_memo, initargs=({},))
+                ProcessPoolExecutor(max_workers=workers, initializer=_set_memos, initargs=(True,))
             )
             mapped = pool.map(evaluate, entries, chunksize=max(1, len(entries) // (4 * workers)))
         else:
-            _set_quotient_memo({})
-            stack.callback(_set_quotient_memo, None)
+            _set_memos(True)
+            stack.callback(_set_memos, False)
             mapped = map(evaluate, entries)
         for i, res in enumerate(mapped):
             results.append(res)

@@ -16,10 +16,13 @@ which the library's sort of packed rows replaced. Zero-divisors, units,
 nilpotents, primality, von Neumann regularity and both graphs come from
 the uncached per-call scans that the library's once-per-ring and
 once-per-ideal facts replaced: whole-table comparisons, the order x order
-product mask, and column reads. Ideals are
+product mask, and column reads. Von Neumann regularity also comes from the
+per-element row loop that the library's row-block scan replaced. Ideals are
 also enumerated by the sum loop that forms every pairwise sum, which the
-library's containment skip replaced; that loop alone reuses library code,
-the mask sum and generator search that the skip left unchanged.
+library's containment skip replaced, and by that skip's pairwise loop,
+which the library's rounds of packed containment tests replaced; those
+loops alone reuse library code, the mask sum and generator search that
+neither change touched.
 Element names are built eagerly from the spec, as the builders did before
 names were made on first read. A pair's verdict comes from the quotient
 side computed afresh on every pair, which the verifier's per-run memo
@@ -548,6 +551,17 @@ def column_von_neumann_regular(r: FiniteRing) -> bool:
     return True
 
 
+def loop_von_neumann_regular(r: FiniteRing) -> bool:
+    """Every x has a y with x*(x*y) = x, one row of ``mul_table`` at a
+    time, stopping at the first non-regular x."""
+    mul = r.mul_table
+    for x in range(r.order):
+        row = mul[x]
+        if not (row.take(row) == x).any():
+            return False
+    return True
+
+
 def triple_scan_is_prime(i: Ideal) -> bool:
     """Proper, and no x, y outside I with x*y in I, on the product mask."""
     if not i.is_proper:
@@ -586,6 +600,28 @@ def every_sum_all_ideals(r: FiniteRing) -> list[Ideal]:
         found.setdefault(m.tobytes(), (m, (g,)))
     for cur, _ in list(found.values()):
         for other, _ in list(found.values()):
+            s = _sum_mask(r, cur, other)
+            key = s.tobytes()
+            if key not in found:
+                found[key] = (s, minimal_generators(r, s))
+    ideals = [Ideal(r, m, gens) for m, gens in found.values()]
+    ideals.sort(key=lambda i: (len(i), i.sorted_members()))
+    return ideals
+
+
+def pairwise_all_ideals(r: FiniteRing) -> list[Ideal]:
+    """``all_ideals`` by adding each principal ideal, in turn, to every
+    ideal found so far, with two containment tests per pair and a sum only
+    for incomparable pairs; same order and generators."""
+    principal = np.zeros((r.order, r.order), dtype=bool)
+    principal[np.arange(r.order)[:, None], r.mul_table] = True
+    found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
+    for g, m in enumerate(principal):
+        found.setdefault(m.tobytes(), (m, (g,)))
+    for cur, _ in list(found.values()):
+        for other, _ in list(found.values()):
+            if not (other & ~cur).any() or not (cur & ~other).any():
+                continue  # one contains the other, so the sum is found already
             s = _sum_mask(r, cur, other)
             key = s.tobytes()
             if key not in found:

@@ -29,6 +29,7 @@ from zdglab import (
     parse_catalogue_text,
     quotient_ring,
 )
+from zdglab.rings import row_blocks
 from zdglab.verifier import _drop_top_vertex
 
 from oracles import (
@@ -305,7 +306,7 @@ def _assert_orth_matches_dense(g):
     assert g.is_uniquely_complemented() == dense_uniquely_complemented(g.adj), g.name
     assert np.array_equal(g.orth, dense), g.name
     assert np.array_equal(g.orth, per_class_orth(g.adj)), g.name
-    first, labels = g._classes
+    first, labels, _ = g._classes
     expected_first, expected_labels = unpacked_row_classes(g.adj)
     assert np.array_equal(first, expected_first) and np.array_equal(labels, expected_labels), g.name
 
@@ -397,7 +398,7 @@ def test_verdict_of_the_zero_ideal_pair_at_the_cap_never_gathers_orth():
     assert not analysis.verdict.gi_complemented and not analysis.verdict.gi_uniquely_complemented
     for g in (analysis.gi, analysis.gq):
         assert g.vertex_count == 2047 and len(g._classes[0]) == 68
-        assert "_lone" in vars(g) and "orth" not in vars(g)
+        assert "_classes" in vars(g) and "orth" not in vars(g)
 
 
 def test_orth_matches_dense_product_on_default_catalogue():
@@ -449,6 +450,15 @@ def test_graph_rejects_adjacency_that_is_not_square_symmetric_and_loop_free():
     asymmetric[1, 2] = True
     with pytest.raises(ValueError, match="symmetric"):
         SimpleGraph(range(3), "abc", asymmetric, "asymmetric")
+    # symmetry is checked in row blocks of 218 rows at V = 300: the only
+    # asymmetric cell, (250, 280), lies in the second block
+    assert [b.start for b in row_blocks(300, 300)] == [0, 218]
+    big = np.zeros((300, 300), dtype=bool)
+    big[10, 20] = big[20, 10] = big[250, 260] = big[260, 250] = True
+    SimpleGraph(range(300), lambda: (), big.copy(), "ok")
+    big[250, 280] = True
+    with pytest.raises(ValueError, match="symmetric"):
+        SimpleGraph(range(300), lambda: (), big, "asymmetric in the second block")
     looped = adj.copy()
     looped[2, 2] = True
     with pytest.raises(ValueError, match="loop"):

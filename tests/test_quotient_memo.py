@@ -99,13 +99,13 @@ def test_the_zero_ideal_never_uses_the_memo():
 def test_a_hit_keeps_the_rings_own_side_and_builds_the_quotient_graph_on_first_read():
     # Z_12/(2) and Z_8/(2) have the same tables: the second pair is a hit
     z12, z8 = build_zn(12), build_zn(8)
-    verifier._set_quotient_memo({})
+    verifier._set_memos(True)
     try:
         miss = analyze_pair(z12, generate_ideal(z12, [2]))
         hit = analyze_pair(z8, generate_ideal(z8, [2]))
         assert len(verifier._quotient_memo) == 1
     finally:
-        verifier._set_quotient_memo(None)
+        verifier._set_memos(False)
     assert miss._gq is not None and hit._gq is None
     assert hit.verdict == unmemoised_verdict(z8, generate_ideal(z8, [2]))
     assert hit.verdict.ring_spec == "Zn:8" and hit.verdict.ideal_members == (0, 2, 4, 6)

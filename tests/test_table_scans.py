@@ -1,5 +1,6 @@
-"""Table facts cached once per ring and once per ideal, against the
-per-call whole-table scans in ``oracles.py`` that they replaced.
+"""Table facts cached once per ring and once per ideal, the row-block
+von Neumann scan and the rounds of ``all_ideals``, against the per-call
+scans and loops in ``oracles.py`` that they replaced.
 
 Covers every (ring, proper ideal) pair that ``verify`` analyzes on the
 default catalogue and on ``perfbench/scale.cat`` (Gamma(Z_4096) included),
@@ -14,6 +15,7 @@ import numpy as np
 
 from zdglab import (
     all_ideals,
+    direct_product,
     analyze_pair,
     build_ring,
     build_zn,
@@ -28,6 +30,7 @@ from zdglab import (
     quotient_ring,
     zero_divisors,
 )
+from zdglab import rings
 from zdglab.rings import row_blocks, table_mask, unit_mask
 
 from oracles import (
@@ -35,6 +38,8 @@ from oracles import (
     dense_gamma,
     dense_gamma_ideal,
     every_sum_all_ideals,
+    loop_von_neumann_regular,
+    pairwise_all_ideals,
     scan_nilpotents,
     scan_units,
     scan_zero_divisors,
@@ -142,3 +147,87 @@ def test_cached_facts_are_read_only_and_linear():
         assert isinstance(fact, np.ndarray)
         assert fact.shape == (ring.order,)
         assert not fact.flags.writeable
+
+
+def _scale_rings():
+    for entry in parse_catalogue_text(SCALE_CATALOGUE.read_text(encoding="utf-8")):
+        yield build_ring(entry.spec)
+
+
+def _non_principal_rings():
+    """The rings of ``test_checks_on_non_principal_ideals``."""
+    sq = square_zero_ring
+    return [
+        sq(2), sq(3), sq(4),
+        direct_product(sq(2), build_zn(2)), direct_product(sq(2), build_zn(3)), direct_product(sq(3), build_zn(2)),
+    ]
+
+
+def _f2_power(k):
+    spec = "Zn:2"
+    for _ in range(k - 1):
+        spec = f"prod(Zn:2,{spec})"
+    return build_ring(spec)
+
+
+def test_vnr_block_scan_matches_the_row_loop():
+    rings_seen = quotients = 0
+    for entry in default_catalogue():
+        r = build_ring(entry.spec)
+        assert is_von_neumann_regular(r) == loop_von_neumann_regular(r), r.spec
+        rings_seen += 1
+        for ideal in all_ideals(r):
+            if ideal.is_proper and not ideal.is_zero:
+                q, _ = quotient_ring(r, ideal)
+                assert is_von_neumann_regular(q) == loop_von_neumann_regular(q), q.spec
+                quotients += 1
+    assert (rings_seen, quotients) == (356, 904)
+    verdicts = {}
+    for r in _scale_rings():
+        verdicts[r.spec] = is_von_neumann_regular(r)
+        assert verdicts[r.spec] == loop_von_neumann_regular(r), r.spec
+    assert verdicts["prod(Zn:61,Zn:67)"] and verdicts["Zn:1155"] and not verdicts["Zn:4096"]
+
+
+def _vnr_blocks_read(monkeypatch, r):
+    """(is_von_neumann_regular(r), the number of row blocks it read)."""
+    read = []
+
+    def counting(stop, width, start=0):
+        for block in row_blocks(stop, width, start):
+            read.append(block)
+            yield block
+
+    with monkeypatch.context() as m:
+        m.setattr(rings, "row_blocks", counting)
+        regular = is_von_neumann_regular(r)
+    return regular, len(read)
+
+
+def test_vnr_block_scan_stops_at_the_first_block_with_a_non_regular_row(monkeypatch):
+    # 2 is not regular in Z_4096, and lies in the first block of 16 rows
+    assert len(list(row_blocks(4096, 4096))) == 256
+    assert _vnr_blocks_read(monkeypatch, build_zn(4096)) == (False, 1)
+    # in Z_4 x Z_251 (65 rows a block) the first non-regular element is
+    # (2, 0) = 502, in the eighth of 16 blocks
+    r = build_ring("prod(Zn:4,Zn:251)")
+    assert len(list(row_blocks(r.order, r.order))) == 16
+    assert _vnr_blocks_read(monkeypatch, r) == (False, 502 // 65 + 1)
+    # a regular ring reads every block
+    r = build_zn(1155)
+    assert _vnr_blocks_read(monkeypatch, r) == (True, len(list(row_blocks(r.order, r.order))))
+
+
+def test_all_ideals_matches_the_pairwise_loop():
+    rings_ = [build_ring(e.spec) for e in default_catalogue()]
+    rings_ += _non_principal_rings()
+    rings_.append(_f2_power(8))
+    non_principal = 0
+    for r in rings_:
+        got = all_ideals(r)
+        expected = pairwise_all_ideals(r)
+        assert [i.generators for i in got] == [i.generators for i in expected], r.spec
+        assert all(np.array_equal(a.mask, b.mask) for a, b in zip(got, expected)), r.spec
+        non_principal += sum(len(i.generators) > 1 for i in got)
+    assert non_principal > 0  # the sum branch finds new ideals
+    assert len(all_ideals(_f2_power(8))) == 256
