@@ -32,14 +32,16 @@ partner class is unique. The vertex x vertex matrix of orthogonal pairs,
 reads it.
 
 The classes and the class matrix depend on ``adj`` alone, not on the vertex
-keys. During ``verifier.run_catalogue`` each process keeps them in a memo,
-``_class_memo``, keyed on the exact adjacency matrix, so a matrix that
-recurs (empty graphs among them) is decided once per process. A hit gives
+keys. They are kept in the run memo (``rings.run_memo``), keyed on the
+exact adjacency matrix, so a matrix that recurs within a ``verify`` run
+(empty graphs among them) is decided once per process. A hit gives
 positions only, and every witness maps them through its own graph's keys.
 
 A graph's labels are the ring's element names at its vertices. They are
 built on the first read of ``SimpleGraph.labels``: only ``to_dot`` and
-``to_json_obj`` read them, and ``verify`` calls neither.
+``to_json_obj`` read them, and ``verify`` calls neither. The function that
+builds them holds the ring's names, not the ring, so a graph kept in the
+run memo does not keep its ring's tables.
 
 ``gamma_ideal`` and ``gamma`` share one builder. Gamma_I(R) takes its
 vertices from the ideal's cached ``Ideal.vertex_mask`` and Gamma(R) from
@@ -57,7 +59,7 @@ import numpy as np
 
 from .errors import ImproperIdealError
 from .ideals import Ideal
-from .rings import FiniteRing, packed_row_classes, packed_words, row_blocks, zero_divisor_mask
+from .rings import FiniteRing, packed_words, row_blocks, row_classes, run_memo
 
 
 def _dot_quote(s: str) -> str:
@@ -74,15 +76,6 @@ def first_class_split(sel: np.ndarray, classes: np.ndarray) -> tuple[int, int] |
     if not split.any():
         return None
     return divmod(int(split.argmax()), sel.shape[1])
-
-
-# The class graph of each adjacency matrix decided in this process, as
-# (V, rows of adj packed into bits) -> SimpleGraph._classes. None outside
-# ``verifier.run_catalogue``, which gives each of its processes a fresh one
-# (see ``verifier._set_memos``). A value is a function of its key alone: the
-# classes and the lone matrix are read off adj, never off the vertex keys or
-# labels, so graphs sharing a matrix may share an entry.
-_class_memo: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
 
 def _lone_classes(adj: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -114,7 +107,8 @@ class SimpleGraph:
     keys make every exported artifact byte-deterministic. Immutable after
     construction. An ``adj`` that is not square over the vertices, not
     symmetric or has a loop raises ``ValueError``: the class-graph
-    predicates are exact only on such a matrix.
+    predicates are exact only on such a matrix. A writeable or
+    non-contiguous ``adj`` is copied; a read-only C-contiguous one is kept.
 
     ``labels`` may be given as a function returning them; it is called on
     the first read of ``labels``, which only the exports make.
@@ -130,7 +124,9 @@ class SimpleGraph:
         self.name = str(name)
         self.vertices = tuple(vertices)
         self._labels = labels if callable(labels) else tuple(labels)
-        adj = np.ascontiguousarray(adj, dtype=bool)
+        adj = np.asarray(adj, dtype=bool)
+        if adj.flags.writeable or not adj.flags.c_contiguous:
+            adj = adj.copy()
         n = len(self.vertices)
         if adj.shape != (n, n):
             raise ValueError(f"adjacency matrix of {n} vertices has shape {adj.shape}")
@@ -152,24 +148,19 @@ class SimpleGraph:
 
     @cached_property
     def _classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(first, labels, lone), read-only: ``row_classes(adj)``, the
-        classes of similar vertices, and ``_lone_classes`` of them. Taken
-        from the class memo when it holds this ``adj``, else computed and,
-        while a memo is set, stored in it."""
-        packed = np.packbits(self.adj, axis=1)
-        memo = _class_memo
-        if memo is not None:
-            key = (len(self.vertices), packed.tobytes())
-            classes = memo.get(key)
-            if classes is not None:
-                return classes
-        first, labels = packed_row_classes(packed)
-        classes = (first, labels, _lone_classes(self.adj, first))
-        for part in classes:
-            part.setflags(write=False)
-        if memo is not None:
-            memo[key] = classes
-        return classes
+        """(first, labels, lone), read-only: ``row_classes`` of ``adj``, the
+        classes of similar vertices, and ``_lone_classes`` of them, from the
+        run memo when it holds this ``adj``."""
+        words = packed_words(self.adj)
+
+        def compute():
+            first, labels = row_classes(words)
+            classes = (first, labels, _lone_classes(self.adj, first))
+            for part in classes:
+                part.setflags(write=False)
+            return classes
+
+        return run_memo(("classes", len(self.vertices), words.tobytes()), compute)
 
     @cached_property
     def _partners(self) -> np.ndarray:
@@ -244,10 +235,12 @@ def _ideal_graph(r: FiniteRing, in_i: np.ndarray, vertices: np.ndarray, name: st
     for block in row_blocks(len(varr), len(varr)):
         adj[block] = in_i[r.mul_table[varr[block]].take(varr, axis=1).astype(np.intp)]
     np.fill_diagonal(adj, False)
+    adj.setflags(write=False)
     verts = varr.tolist()
+    ring_names = r._name_source()
 
     def labels():
-        names = r.element_names
+        names = ring_names()
         return (names[v] for v in verts)
 
     return SimpleGraph(verts, labels, adj, name)
@@ -258,7 +251,7 @@ def gamma(r: FiniteRing) -> SimpleGraph:
     distinct x and y adjacent exactly when x*y = 0. The vertices come from
     the ring's cached zero-divisor mask."""
     zero = np.arange(r.order) == r.zero
-    return _ideal_graph(r, zero, zero_divisor_mask(r) & ~zero, f"Gamma({r.spec})")
+    return _ideal_graph(r, zero, r.zero_divisor_mask & ~zero, f"Gamma({r.spec})")
 
 
 def gamma_ideal(r: FiniteRing, i: Ideal) -> SimpleGraph:

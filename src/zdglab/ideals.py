@@ -5,7 +5,7 @@ table once per ideal and cached on it: ``Ideal.vertex_mask``, the vertex
 set of Gamma_I(R), a length-order mask from one scan in row blocks.
 ``is_prime`` reads it, since Gamma_I(R) is empty exactly when I is prime,
 and ``graphs.gamma_ideal`` builds its graph on it. ``radical`` reads the
-ring's cached power array.
+ring's cached ``power_array``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapExceededError, ImproperIdealError, InvalidElementError
-from .rings import ElementSet, FiniteRing, packed_words, power_array, row_blocks, row_classes
+from .rings import ElementSet, FiniteRing, packed_words, row_blocks, row_classes
 
 DEFAULT_IDEAL_ENUMERATION_CAP = 256
 
@@ -136,14 +136,14 @@ def all_ideals(r: FiniteRing, *, max_order: int = DEFAULT_IDEAL_ENUMERATION_CAP)
     members, so the principal ideals closed under sums are all of them. The
     principal ideals come from one flat scatter of the multiplication table
     (row g of the matrix is the mask of Rg) and one ``row_classes`` sort of
-    its rows, and each keeps its least generator. Then, round by round, each
-    ideal first found in the previous round (the principal ones in the
-    first) is added to every principal ideal. Containment of all those pairs
-    is decided at once on the masks packed into words, and only incomparable
-    pairs are summed, since a contained pair sums to an ideal already found.
-    A new sum gets ``minimal_generators`` and joins the next round; the
-    rounds end when one finds nothing new. Sorted by (size, member
-    sequence).
+    its rows, packed into words once, and each keeps its least generator.
+    Then, round by round, each ideal first found in the previous round (the
+    principal ones in the first) is added to every principal ideal.
+    Containment of all those pairs is decided at once on the masks packed
+    into words, and only incomparable pairs are summed, since a contained
+    pair sums to an ideal already found. A new sum gets
+    ``minimal_generators`` and joins the next round; the rounds end when one
+    finds nothing new. Sorted by (size, member sequence).
     """
     if r.order > max_order:
         raise CapExceededError(f"ideal enumeration allows order <= {max_order}, ring has {r.order}")
@@ -152,13 +152,13 @@ def all_ideals(r: FiniteRing, *, max_order: int = DEFAULT_IDEAL_ENUMERATION_CAP)
     flat += np.arange(0, n * n, n)[:, None]
     principal = np.zeros((n, n), dtype=bool)
     np.put(principal, flat, True)
-    first = row_classes(principal)[0]
-    base = principal[first]
+    words = packed_words(principal)
+    first = row_classes(words)[0]
+    base, base_words = principal[first], words[first]
     found = {m.tobytes(): (m, (g,)) for g, m in zip(first.tolist(), base)}
-    base_words = packed_words(base)
-    fresh = base
+    fresh, fresh_words = base, base_words
     while len(fresh):
-        apart = _incomparable(packed_words(fresh), base_words)
+        apart = _incomparable(fresh_words, base_words)
         if fresh is base:
             apart = np.triu(apart, 1)  # a sum of two principal ideals, each pair once
         new = []
@@ -169,6 +169,7 @@ def all_ideals(r: FiniteRing, *, max_order: int = DEFAULT_IDEAL_ENUMERATION_CAP)
                 found[key] = (s, minimal_generators(r, s))
                 new.append(s)
         fresh = np.array(new, dtype=bool).reshape(len(new), n)
+        fresh_words = packed_words(fresh)
     ideals = [Ideal(r, m, gens) for m, gens in found.values()]
     ideals.sort(key=lambda i: (len(i), i.sorted_members()))
     return ideals
@@ -182,7 +183,7 @@ def radical(i: Ideal) -> Ideal:
     x^(2^k), 2^k >= order, decides it.
     """
     r = i.ring
-    mask = i.mask[power_array(r)]
+    mask = i.mask[r.power_array]
     return Ideal(r, mask, minimal_generators(r, mask))
 
 

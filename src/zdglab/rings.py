@@ -8,12 +8,13 @@ tables. The builders produce that dtype directly, with no order x order
 int64 temporary.
 
 Three facts are read off the tables once per ring, on first use, and kept
-on it as read-only length-order arrays: the zero-divisor mask, the unit
-mask and the power array x^(2^k) with 2^k >= order. ``zero_divisors``,
-``nilpotents``, ``total_quotient_ring`` and ``ideals.radical`` read them.
-Each is one scan of ``mul_table`` in row blocks of ``_BLOCK_CELLS`` cells
-(the power array only reads the diagonal), so no order x order temporary
-is built for them.
+on it as read-only length-order cached properties: ``zero_divisor_mask``,
+``unit_mask`` and ``power_array`` (x^(2^k) with 2^k >= order).
+``zero_divisors``, ``nilpotents``, ``total_quotient_ring`` and
+``ideals.radical`` read them. Each is one scan of ``mul_table`` in row
+blocks of ``_BLOCK_CELLS`` cells (the power array only reads the diagonal),
+so no order x order temporary is built for them. What recurs within a
+``verify`` run but belongs to no one object is kept in ``run_memo``.
 
 Element names are for display only, and no predicate reads them. The
 builders hand ``FiniteRing`` a function that makes them, and the names are
@@ -22,8 +23,8 @@ built on the first read of ``element_names``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -54,31 +55,27 @@ def row_blocks(stop: int, width: int, start: int = 0) -> Iterator[slice]:
 
 
 def packed_words(rows: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D boolean array packed into 64-bit words, each row
-    zero-padded to a whole number of words."""
-    bits = np.zeros((len(rows), -(-rows.shape[1] // 64) * 64), dtype=bool)
-    bits[:, : rows.shape[1]] = rows
-    return np.packbits(bits, axis=1).view(np.uint64)
+    """The rows of a 2-D boolean array packed into 64-bit words, the packed
+    bytes of each row zero-padded to a whole number of words (not copied
+    when already whole). Byte order in memory is the rows' lexicographic
+    order."""
+    packed = np.packbits(rows, axis=1)
+    if packed.shape[1] % 8:
+        packed = np.concatenate([packed, np.zeros((len(packed), -packed.shape[1] % 8), np.uint8)], axis=1)
+    return packed.view(np.uint64)
 
 
-def row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, labels) for the rows of a 2-D boolean array: rows share a
-    label exactly when they are equal, and ``first[c]`` is the index of the
-    first row with label c. See ``packed_row_classes``."""
-    return packed_row_classes(np.packbits(np.asarray(rows, dtype=bool), axis=1))
-
-
-def packed_row_classes(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``row_classes`` of boolean rows given packed into bits (uint8, as
-    ``np.packbits(rows, axis=1)`` makes them). The rows are sorted stably as
-    packed bits, whose byte order is the rows' lexicographic order, so
-    labels rank the rows and each run of equal rows starts at its first row.
-    This is ``np.unique`` with ``return_index`` and ``return_inverse``, less
-    the wrapper that outweighs the sort on the few-row inputs most catalogue
-    rings and graphs have."""
-    if packed.shape[1] == 0:
-        return np.zeros(min(1, packed.shape[0]), dtype=np.intp), np.zeros(packed.shape[0], dtype=np.intp)
-    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+def row_classes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, labels) for the rows of a boolean array given as
+    ``packed_words``: rows share a label exactly when they are equal, and
+    ``first[c]`` is the index of the first row with label c. The rows are
+    sorted stably as their packed bytes, so labels rank the rows and each
+    run of equal rows starts at its first row. This is ``np.unique`` with
+    ``return_index`` and ``return_inverse``, less the wrapper that outweighs
+    the sort on the few-row inputs most catalogue rings and graphs have."""
+    if words.shape[1] == 0:
+        return np.zeros(min(1, words.shape[0]), dtype=np.intp), np.zeros(words.shape[0], dtype=np.intp)
+    keys = words.view(np.dtype((np.void, words.shape[1] * 8)))[:, 0]
     order = keys.argsort(kind="stable")
     ranked = keys[order]
     new = np.empty(len(keys), dtype=bool)
@@ -87,6 +84,27 @@ def packed_row_classes(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     labels = np.empty(len(keys), dtype=np.intp)
     labels[order] = new.cumsum() - 1
     return order[new], labels
+
+
+# The per-run memo: None outside ``verifier.run_catalogue``, which gives
+# each process evaluating entries a fresh one (see ``verifier._set_run_memo``).
+# It is module state because a pool worker must keep it across the chunks it
+# is sent, and only the pool's initializer reaches the worker.
+_run_memo: dict[tuple, object] | None = None
+
+
+def run_memo(key: tuple, compute: Callable[[], object]) -> object:
+    """``compute()``, kept in the run memo under ``key`` while a run is
+    active, else computed on every call. A key holds the exact bytes its
+    value is a function of, so an entry may be shared by any caller
+    whose input has those bytes."""
+    memo = _run_memo
+    if memo is None:
+        return compute()
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
 
 
 def _table_dtype(order: int) -> np.dtype:
@@ -107,11 +125,11 @@ class FiniteRing:
     construction (the tables are locked), so they are safe to share between
     threads.
 
-    ``_facts`` caches what is read off the tables once per ring (see the
-    module docstring), by name. Every entry is a read-only 1-D array of
+    ``zero_divisor_mask``, ``unit_mask`` and ``power_array`` are cached
+    properties (see the module docstring). Each is a read-only 1-D array of
     length ``order``: nothing order x order is ever cached, on a ring or on
     an ideal, since the two tables are the only quadratic state. Two
-    threads that fill one entry compute the same array, so the cache keeps
+    threads that fill one fact compute the same array, so the cache keeps
     the ring safe to share.
 
     ``element_names`` is one display name per element. It may be given as a
@@ -119,8 +137,6 @@ class FiniteRing:
     which is called and checked on the first read of ``element_names``. The
     function is dropped after that read, together with whatever it refers to.
     """
-
-    __slots__ = ("order", "zero", "one", "add_table", "mul_table", "_names", "spec", "_facts")
 
     def __init__(
         self,
@@ -166,7 +182,6 @@ class FiniteRing:
         self.mul_table = mul
         self._names = names
         self.spec = str(spec)
-        self._facts: dict[str, np.ndarray] = {}
 
     @property
     def element_names(self) -> tuple[str, ...]:
@@ -183,6 +198,28 @@ class FiniteRing:
         if callable(names):
             return lambda: _checked_names(names(), order)
         return lambda: names
+
+    @cached_property
+    def zero_divisor_mask(self) -> np.ndarray:
+        """Z(R) as a mask: the x with x*y = 0 for some nonzero y."""
+        return _rows_holding(self, self.zero, skip_column=self.zero)
+
+    @cached_property
+    def unit_mask(self) -> np.ndarray:
+        """The units as a mask: the x with x*y = 1 for some y."""
+        return _rows_holding(self, self.one)
+
+    @cached_property
+    def power_array(self) -> np.ndarray:
+        """x^(2^k) for every element x, where 2^k >= order: k squarings
+        along the diagonal of ``mul_table``. Exponents up to the ring order
+        decide nilpotency and radical membership, and once a power is zero
+        or lies in an ideal every higher power does too."""
+        e = np.arange(self.order, dtype=np.intp)
+        for _ in range(max(1, (self.order - 1).bit_length())):
+            e = self.mul_table.diagonal().take(e)
+        e.setflags(write=False)
+        return e
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.spec!r}, order={self.order})"
@@ -387,67 +424,27 @@ def table_mask(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ring_fact(compute: Callable[[FiniteRing], np.ndarray]) -> Callable[[FiniteRing], np.ndarray]:
-    """``compute(r)``, a length-order array, computed on first use and kept
-    read-only in ``r._facts`` under the function's name."""
-    name = compute.__name__
-
-    @functools.wraps(compute)
-    def fact(r: FiniteRing) -> np.ndarray:
-        value = r._facts.get(name)
-        if value is None:
-            value = compute(r)
-            value.setflags(write=False)
-            r._facts[name] = value
-        return value
-
-    return fact
-
-
 def _rows_holding(r: FiniteRing, value: int, skip_column: int | None = None) -> np.ndarray:
-    """Mask of the rows of ``mul_table`` holding ``value`` outside column
-    ``skip_column``, scanned in row blocks."""
+    """Read-only mask of the rows of ``mul_table`` holding ``value`` outside
+    column ``skip_column``, scanned in row blocks."""
     hits = np.empty(r.order, dtype=bool)
     for rows in row_blocks(r.order, r.order):
         block = r.mul_table[rows] == value
         if skip_column is not None:
             block[:, skip_column] = False
         hits[rows] = block.any(axis=1)
+    hits.setflags(write=False)
     return hits
-
-
-@_ring_fact
-def zero_divisor_mask(r: FiniteRing) -> np.ndarray:
-    """Z(R) as a mask: the x with x*y = 0 for some nonzero y."""
-    return _rows_holding(r, r.zero, skip_column=r.zero)
-
-
-@_ring_fact
-def unit_mask(r: FiniteRing) -> np.ndarray:
-    """The units as a mask: the x with x*y = 1 for some y."""
-    return _rows_holding(r, r.one)
-
-
-@_ring_fact
-def power_array(r: FiniteRing) -> np.ndarray:
-    """x^(2^k) for every element x, where 2^k >= order: k squarings
-    along the diagonal of ``mul_table``. Exponents up to the ring order
-    decide nilpotency and radical membership, and once a power is zero or
-    lies in an ideal every higher power does too."""
-    e = np.arange(r.order, dtype=np.intp)
-    for _ in range(max(1, (r.order - 1).bit_length())):
-        e = r.mul_table.diagonal().take(e)
-    return e
 
 
 def zero_divisors(r: FiniteRing) -> ElementSet:
     """Z(R) = elements x with x*y = 0 for some nonzero y (0 always qualifies)."""
-    return ElementSet(r, zero_divisor_mask(r))
+    return ElementSet(r, r.zero_divisor_mask)
 
 
 def nilpotents(r: FiniteRing) -> ElementSet:
     """Elements with some power equal to zero, read off ``power_array``."""
-    return ElementSet(r, power_array(r) == r.zero)
+    return ElementSet(r, r.power_array == r.zero)
 
 
 def is_reduced(r: FiniteRing) -> bool:
@@ -484,7 +481,7 @@ def total_quotient_ring(r: FiniteRing) -> FiniteRing:
     zero-divisor and unit masks (it can only fail for corrupted data) and
     returns ``r`` unchanged.
     """
-    bad = ~zero_divisor_mask(r) & ~unit_mask(r)
+    bad = ~r.zero_divisor_mask & ~r.unit_mask
     if bad.any():
         x = int(bad.argmax())
         raise RingConsistencyError(f"element {r.element_names[x]} is neither a unit nor a zero-divisor")

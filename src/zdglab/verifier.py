@@ -13,14 +13,13 @@ hypotheses fail are counted as tested but not applicable, never as passes.
 Failures carry full witnesses (vertex indices, the separating alpha) so a
 counterexample can be replayed in isolation.
 
-Within one ``run_catalogue`` call each process keeps a memo of the quotient
-side of a pair: the vertex count and both complementation predicates of
-Gamma(R/I), von Neumann regularity of R/I and |Z(R/I)|. It is keyed on the
-exact tables of R/I, so it assumes nothing about the ring, and it holds
-only those five scalars. Gamma_I(R) is always built from R's own table.
-Each such process also keeps ``graphs._class_memo``, the class graph of
-each adjacency matrix it has decided, keyed on the exact matrix; both memos
-are set together by ``_set_memos`` and are None outside a run.
+Within one ``run_catalogue`` call each process keeps a run memo
+(``rings.run_memo``). Its quotient entries hold the quotient side of a pair:
+Gamma(R/I) itself, von Neumann regularity of R/I and |Z(R/I)|. They are
+keyed on the exact tables of R/I, so they assume nothing about the ring.
+Gamma_I(R) is always built from R's own table. The memo also holds the
+class graph of each adjacency matrix decided (see ``graphs``). It is set by
+``_set_run_memo`` and is None outside a run.
 ``verify`` reads no element name or graph label, and both are built only
 on first read (see ``rings`` and ``graphs``).
 """
@@ -37,7 +36,7 @@ import json
 
 import numpy as np
 
-from . import __version__, graphs
+from . import __version__, rings
 from .errors import (
     CapExceededError,
     CatalogueError,
@@ -58,8 +57,9 @@ from .rings import (
     DEFAULT_MAX_ORDER,
     FiniteRing,
     is_von_neumann_regular,
-    power_array,
+    packed_words,
     row_classes,
+    run_memo,
     table_mask,
     total_quotient_ring,
     zero_divisors,
@@ -104,89 +104,59 @@ class PropertyVerdict:
     quotient_z_count: int
 
 
-# The quotient side of a pair by the exact tables of R/I, as
-# (zero, one, add bytes, mul bytes) -> (vertex count of Gamma(R/I),
-# complemented, uniquely complemented, quotient_vnr, quotient_z_count).
-# None outside ``run_catalogue``, which gives each of its processes a fresh
-# one, together with a fresh ``graphs._class_memo``. Both are module state
-# because a pool worker must keep them across the chunks it is sent, and
-# only the pool's initializer reaches the worker. A value is a function of
-# its key alone, so any sharing stays correct.
-_quotient_memo: dict[tuple, tuple] | None = None
+def _set_run_memo(fresh: bool) -> None:
+    """Give this process an empty run memo, or none."""
+    rings._run_memo = {} if fresh else None
 
 
-def _set_memos(fresh: bool) -> None:
-    """Give this process an empty quotient memo and an empty class memo, or
-    none of either."""
-    global _quotient_memo
-    _quotient_memo = {} if fresh else None
-    graphs._class_memo = {} if fresh else None
+def _quotient_side(q: FiniteRing) -> tuple[SimpleGraph, bool, int]:
+    """Gamma(R/I), von Neumann regularity of R/I and |Z(R/I)|."""
+    total_quotient_ring(q)  # guard: regular elements are units
+    return gamma(q), is_von_neumann_regular(q), len(zero_divisors(q))
 
 
 class PairAnalysis:
     """Everything the checks need about one (ring, proper ideal) pair.
 
-    ``gq`` (Gamma(R/I)) is built when the quotient side is computed, or on
-    first read when that side came from the quotient memo.
+    The quotient side comes from the run memo when it holds R/I's tables.
+    On such a hit ``gq`` is the Gamma(R/I) of the first quotient with those
+    tables: equal vertices and adjacency, but that quotient's name and
+    labels. The zero ideal skips the memo: R/(0) is R, whose facts are
+    cached on it, and keying a large R would copy its tables.
     """
 
-    __slots__ = ("ring", "ideal", "quotient", "coset_map", "gi", "_gq", "radical_mask", "verdict")
+    __slots__ = ("ring", "ideal", "quotient", "coset_map", "gi", "gq", "radical_mask", "verdict")
 
     def __init__(self, ring: FiniteRing, ideal: Ideal, *, _corrupt_graph: bool = False):
         self.ring = ring
         self.ideal = ideal
-        self.quotient, self.coset_map = quotient_ring(ring, ideal)
-        self._gq = None
-        q_vertices, q_complemented, q_unique, q_vnr, q_z = self._quotient_side()
+        q, self.coset_map = quotient_ring(ring, ideal)
+        self.quotient = q
+        if ideal.is_zero:
+            gq, q_vnr, q_z = _quotient_side(q)
+        else:
+            key = ("quotient", q.zero, q.one, q.add_table.tobytes(), q.mul_table.tobytes())
+            gq, q_vnr, q_z = run_memo(key, lambda: _quotient_side(q))
+        self.gq = gq
         gi = gamma_ideal(ring, ideal)
         if _corrupt_graph and gi.vertex_count:
             gi = _drop_top_vertex(gi)
         self.gi = gi
-        self.radical_mask = ideal.mask[power_array(ring)]
+        self.radical_mask = ideal.mask[ring.power_array]
         self.verdict = PropertyVerdict(
             ring_spec=ring.spec,
             ideal_members=ideal.sorted_members(),
             ideal_is_radical=bool(np.array_equal(self.radical_mask, ideal.mask)),
             ideal_is_prime=is_prime(ideal),
-            quotient_vertex_count=q_vertices,
+            quotient_vertex_count=gq.vertex_count,
             gi_vertex_count=gi.vertex_count,
             gi_complemented=gi.is_complemented(),
             gi_uniquely_complemented=gi.is_uniquely_complemented(),
-            quotient_graph_complemented=q_complemented,
-            quotient_graph_uniquely_complemented=q_unique,
+            quotient_graph_complemented=gq.is_complemented(),
+            quotient_graph_uniquely_complemented=gq.is_uniquely_complemented(),
             quotient_vnr=q_vnr,
             quotient_z_count=q_z,
         )
-
-    def _quotient_side(self) -> tuple[int, bool, bool, bool, int]:
-        """The five quotient fields of the verdict, from the memo when it
-        has R/I's tables. The zero ideal skips the memo: R/(0) is R, whose
-        facts are cached on it, and keying a large R would copy its tables."""
-        q = self.quotient
-        memo = None if self.ideal.is_zero else _quotient_memo
-        if memo is not None:
-            key = (q.zero, q.one, q.add_table.tobytes(), q.mul_table.tobytes())
-            side = memo.get(key)
-            if side is not None:
-                return side
-        total_quotient_ring(q)  # guard: regular elements are units
-        gq = self.gq
-        side = (
-            gq.vertex_count,
-            gq.is_complemented(),
-            gq.is_uniquely_complemented(),
-            is_von_neumann_regular(q),
-            len(zero_divisors(q)),
-        )
-        if memo is not None:
-            memo[key] = side
-        return side
-
-    @property
-    def gq(self) -> SimpleGraph:
-        if self._gq is None:
-            self._gq = gamma(self.quotient)
-        return self._gq
 
 
 def analyze_pair(ring: FiniteRing, ideal: Ideal, *, _corrupt_graph: bool = False) -> PairAnalysis:
@@ -330,7 +300,7 @@ def check_annihilator_agreement(a: PairAnalysis):
     in_i, gi = a.ideal.mask, a.gi
     # row v: the alphas outside I with alpha * v in I
     ann = table_mask(a.ring.mul_table[np.asarray(gi.vertices, dtype=np.intp)], in_i) & ~in_i
-    split = first_class_split(gi.orth, row_classes(ann)[1])
+    split = first_class_split(gi.orth, row_classes(packed_words(ann))[1])
     if split is None:
         return True, None
     i, k = split
@@ -519,12 +489,11 @@ def run_catalogue(
     merged in (ring_spec, ideal_members) order, so the report is byte-stable
     for any parallelism degree.
 
-    Each process that evaluates entries starts with an empty quotient memo
-    and an empty class memo: this one at ``jobs`` 1, else every pool
-    worker, through the pool's initializer. The pool takes contiguous
-    chunks of about a quarter of a worker's share of the entries, which
-    saves a round trip per entry and gives each worker's memos related
-    rings.
+    Each process that evaluates entries starts with an empty run memo:
+    this one at ``jobs`` 1, else every pool worker, through the pool's
+    initializer. The pool takes contiguous chunks of about a quarter of a
+    worker's share of the entries, which saves a round trip per entry and
+    gives each worker's memo related rings.
     """
     entries = [e if isinstance(e, CatalogueEntry) else CatalogueEntry(str(e)) for e in entries]
     if jobs is None or jobs < 1:
@@ -537,12 +506,12 @@ def run_catalogue(
         if jobs > 1 and len(entries) > 1:
             workers = min(jobs, len(entries))
             pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=workers, initializer=_set_memos, initargs=(True,))
+                ProcessPoolExecutor(max_workers=workers, initializer=_set_run_memo, initargs=(True,))
             )
             mapped = pool.map(evaluate, entries, chunksize=max(1, len(entries) // (4 * workers)))
         else:
-            _set_memos(True)
-            stack.callback(_set_memos, False)
+            _set_run_memo(True)
+            stack.callback(_set_run_memo, False)
             mapped = map(evaluate, entries)
         for i, res in enumerate(mapped):
             results.append(res)

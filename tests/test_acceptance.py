@@ -18,7 +18,9 @@ Criteria:
 
 The golden tests pin the sha256 of the default-catalogue report and of the
 report on ``perfbench/scale.cat`` (rings of order 512-4096), the bytes that
-``zdglab verify`` writes at every ``--jobs`` value.
+``zdglab verify`` writes at every ``--jobs`` value. The default report is
+checked at jobs 1, evaluated in this process, and at jobs 2, evaluated in a
+process pool whose workers each start their own run memo.
 """
 
 import hashlib
@@ -299,6 +301,10 @@ def sha256_of(report) -> str:
 def test_default_report_golden_hash(default_run):
     report, _ = default_run
     assert sha256_of(report) == DEFAULT_REPORT_SHA256
+
+
+def test_default_report_golden_hash_at_two_jobs():
+    assert sha256_of(run_catalogue(default_catalogue(), jobs=2)) == DEFAULT_REPORT_SHA256
 
 
 def test_scale_report_golden_hash():

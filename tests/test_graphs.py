@@ -427,6 +427,10 @@ def _complete_bipartite(m, n):
         _complete_bipartite(1, 1),
         _complete_bipartite(2, 3),
         _complete_bipartite(4, 4),
+        # widths whose packed rows are padded to whole 64-bit words
+        _complete_bipartite(31, 34),
+        graph_from_edges(range(70), [(i, i + 1) for i in range(69)], name="P70"),
+        graph_from_edges(range(130), [(i, (i + 1) % 130) for i in range(130)], name="C130"),
         # complements 1 and 2 of vertex 0 have equal orth rows, unequal adj rows
         graph_from_edges(
             range(7), [(0, 1), (0, 2), (1, 3), (1, 4), (3, 4), (3, 5), (4, 6)], name="equal-orth-rows",
@@ -463,6 +467,17 @@ def test_graph_rejects_adjacency_that_is_not_square_symmetric_and_loop_free():
     looped[2, 2] = True
     with pytest.raises(ValueError, match="loop"):
         SimpleGraph(range(3), "abc", looped, "looped")
+
+
+def test_graph_leaves_the_callers_adjacency_array_writeable():
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[0, 1] = adj[1, 0] = True
+    g = SimpleGraph(range(3), "abc", adj, "P2 and an isolated vertex")
+    assert adj.flags.writeable and not g.adj.flags.writeable
+    adj[0, 2] = adj[2, 0] = True  # the caller's matrix is now P3
+    assert g.edges() == [(0, 1)]
+    assert not g.is_complemented()  # first decided after the write: 2 is isolated
+    assert SimpleGraph(range(3), "abc", adj, "P3").is_uniquely_complemented()
 
 
 def test_path_and_complete_bipartite_classes():
