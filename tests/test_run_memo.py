@@ -1,9 +1,11 @@
 """The run memo of ``run_catalogue`` (``rings.run_memo``) against results
-computed afresh, and the memo's scope.
+computed afresh, and what it keeps.
 
 The memo holds two kinds of entry: the quotient side of a pair, keyed on
 the exact tables of R/I, and the class graph of an adjacency matrix, keyed
-on the exact matrix.
+on the exact matrix. That each run starts a new memo and that nothing
+outside a run keeps one is tested in ``test_class_memo`` and
+``test_quotient_memo``.
 """
 
 import contextlib
@@ -30,7 +32,6 @@ from zdglab import (
     run_catalogue,
     verifier,
 )
-from zdglab.cli import main
 from zdglab.verifier import _drop_top_vertex, check_orthogonality_lifting
 
 from oracles import unmemoised_verdict
@@ -151,27 +152,6 @@ def test_memoised_classes_match_fresh_ones_on_the_scale_graphs():
 
 
 # --- scope -------------------------------------------------------------------
-
-
-def test_each_run_starts_with_an_empty_memo():
-    entries = ["Zn:12", "Zn:8", "prod(Zn:2,Zn:4)", "Zn:24"]
-    _, memos1, sizes1 = run_watching_memo(entries)
-    assert rings._run_memo is None
-    _, memos2, sizes2 = run_watching_memo(entries)
-    assert rings._run_memo is None
-    assert sizes1 == sizes2 and sizes1[0] > 0
-    assert all(m is memos1[0] for m in memos1) and memos1[0] is not memos2[0]
-
-
-def test_check_and_analyze_pair_outside_a_run_leave_the_memo_untouched(capsys):
-    run_catalogue(["Zn:12", "Zn:8"], jobs=1)
-    assert rings._run_memo is None
-    for spec, gens in (("Zn:12", [6]), ("Zn:8", [4]), ("Zn:30", [5])):
-        ring = build_ring(spec)
-        analyze_pair(ring, generate_ideal(ring, gens))
-    assert main(["check", "Zn:12", "--ideal", "6"]) == 0
-    capsys.readouterr()
-    assert rings._run_memo is None
 
 
 def test_the_zero_ideal_never_keeps_its_quotient_side():
