@@ -81,6 +81,111 @@ def test_graph_json(capsys):
     assert len(obj["edges"]) == 8
 
 
+# Exports whose labels are not plain integers: pair, polynomial and coset names.
+PAIR_DOT = (
+    'graph "Gamma_{2}(prod(Zn:4,Zn:6))" {\n'
+    '  "(0,1)";\n'
+    '  "(0,3)";\n'
+    '  "(0,5)";\n'
+    '  "(1,0)";\n'
+    '  "(1,2)";\n'
+    '  "(1,4)";\n'
+    '  "(2,0)";\n'
+    '  "(2,1)";\n'
+    '  "(2,2)";\n'
+    '  "(2,3)";\n'
+    '  "(2,4)";\n'
+    '  "(2,5)";\n'
+    '  "(3,0)";\n'
+    '  "(3,2)";\n'
+    '  "(3,4)";\n'
+    '  "(0,1)" -- "(1,0)";\n'
+    '  "(0,1)" -- "(1,2)";\n'
+    '  "(0,1)" -- "(1,4)";\n'
+    '  "(0,1)" -- "(2,0)";\n'
+    '  "(0,1)" -- "(2,2)";\n'
+    '  "(0,1)" -- "(2,4)";\n'
+    '  "(0,1)" -- "(3,0)";\n'
+    '  "(0,1)" -- "(3,2)";\n'
+    '  "(0,1)" -- "(3,4)";\n'
+    '  "(0,3)" -- "(1,0)";\n'
+    '  "(0,3)" -- "(1,2)";\n'
+    '  "(0,3)" -- "(1,4)";\n'
+    '  "(0,3)" -- "(2,0)";\n'
+    '  "(0,3)" -- "(2,2)";\n'
+    '  "(0,3)" -- "(2,4)";\n'
+    '  "(0,3)" -- "(3,0)";\n'
+    '  "(0,3)" -- "(3,2)";\n'
+    '  "(0,3)" -- "(3,4)";\n'
+    '  "(0,5)" -- "(1,0)";\n'
+    '  "(0,5)" -- "(1,2)";\n'
+    '  "(0,5)" -- "(1,4)";\n'
+    '  "(0,5)" -- "(2,0)";\n'
+    '  "(0,5)" -- "(2,2)";\n'
+    '  "(0,5)" -- "(2,4)";\n'
+    '  "(0,5)" -- "(3,0)";\n'
+    '  "(0,5)" -- "(3,2)";\n'
+    '  "(0,5)" -- "(3,4)";\n'
+    '  "(2,0)" -- "(2,1)";\n'
+    '  "(2,0)" -- "(2,2)";\n'
+    '  "(2,0)" -- "(2,3)";\n'
+    '  "(2,0)" -- "(2,4)";\n'
+    '  "(2,0)" -- "(2,5)";\n'
+    '  "(2,1)" -- "(2,2)";\n'
+    '  "(2,1)" -- "(2,4)";\n'
+    '  "(2,2)" -- "(2,3)";\n'
+    '  "(2,2)" -- "(2,4)";\n'
+    '  "(2,2)" -- "(2,5)";\n'
+    '  "(2,3)" -- "(2,4)";\n'
+    '  "(2,4)" -- "(2,5)";\n'
+    "}\n"
+)
+
+POLY_JSON = (
+    "{\n"
+    '  "edges": [\n'
+    "    [\n"
+    "      0,\n"
+    "      1\n"
+    "    ],\n"
+    "    [\n"
+    "      1,\n"
+    "      2\n"
+    "    ]\n"
+    "  ],\n"
+    '  "vertices": [\n'
+    '    "x",\n'
+    '    "x^2",\n'
+    '    "x^2+x"\n'
+    "  ]\n"
+    "}\n"
+)
+
+COSET_DOT = (
+    'graph "Gamma_{4}(quot(Zn:24;12))" {\n'
+    '  "2+I";\n'
+    '  "6+I";\n'
+    '  "10+I";\n'
+    '  "2+I" -- "6+I";\n'
+    '  "2+I" -- "10+I";\n'
+    '  "6+I" -- "10+I";\n'
+    "}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["graph", "prod(Zn:4,Zn:6)", "--ideal", "2"], PAIR_DOT),
+        (["graph", "polyq:2:0,0,0,1", "--format", "json"], POLY_JSON),
+        (["graph", "quot(Zn:24;12)", "--ideal", "4"], COSET_DOT),
+    ],
+)
+def test_graph_export_labels_are_element_names(argv, expected, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_graph_prime_ideal_is_empty(capsys):
     assert main(["graph", "Zn:6", "--ideal", "3", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
