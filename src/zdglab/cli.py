@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .errors import SpecParseError, ZdglabError
+from .errors import CatalogueError, SpecParseError, ZdglabError
 from .graphs import gamma_ideal
 from .ideals import DEFAULT_IDEAL_ENUMERATION_CAP, all_ideals, generate_ideal, is_prime, is_radical
 from .rings import DEFAULT_MAX_ORDER, is_reduced, is_von_neumann_regular, nilpotents, zero_divisors
@@ -108,9 +108,9 @@ def cmd_graph(args) -> int:
     ideal = generate_ideal(ring, args.ideal)
     graph = gamma_ideal(ring, ideal)
     if args.format == "json":
-        _emit(json.dumps(graph.to_json_obj(), indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json.dumps(graph.to_json_obj(ring.element_names), indent=2, sort_keys=True) + "\n", args.out)
     else:
-        _emit(graph.to_dot(), args.out)
+        _emit(graph.to_dot(ring.element_names), args.out)
     return 0
 
 
@@ -175,8 +175,13 @@ def cmd_verify(args) -> int:
         entries = default_catalogue()
         description = "default"
     else:
-        with open(args.catalogue, "r", encoding="utf-8") as fh:
-            entries = parse_catalogue_text(fh.read())
+        with open(args.catalogue, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CatalogueError(f"{args.catalogue}: not UTF-8 at byte offset {e.start}") from e
+        entries = parse_catalogue_text(text)
         description = args.catalogue
     progress = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     report = run_catalogue(

@@ -7,15 +7,14 @@ non-adjacent with identical neighborhoods. A graph is *complemented* when
 every vertex has an orthogonal partner, and *uniquely complemented* when
 additionally all orthogonal partners of a vertex are pairwise similar.
 
-A graph's whole state is ``vertices`` (ascending keys), ``labels`` (one per
-vertex) and ``adj``, the boolean adjacency matrix in that order, which the
-constructor checks is square, symmetric and loop-free; every predicate is
-read off that matrix. In a loop-free graph equal neighborhoods already force
-non-adjacency, so similar vertices are exactly those with equal adjacency
-rows. These classes are the vertices of the compressed zero-divisor graph
-(Mulay, Comm. Algebra 30, 2002; Spiroff & Wickham, Comm. Algebra 39, 2011),
-and zero-divisor graphs have few of them (68 for the 2047 vertices of
-Gamma(Z_4096)).
+A graph's whole state is ``vertices`` (ascending keys) and ``adj``, the
+boolean adjacency matrix in that order, which the constructor checks is
+square, symmetric and loop-free; every predicate is read off that matrix.
+In a loop-free graph equal neighborhoods already force non-adjacency, so
+similar vertices are exactly those with equal adjacency rows. These classes
+are the vertices of the compressed zero-divisor graph (Mulay, Comm. Algebra
+30, 2002; Spiroff & Wickham, Comm. Algebra 39, 2011), and zero-divisor
+graphs have few of them (68 for the 2047 vertices of Gamma(Z_4096)).
 
 Both predicates are decided on that class graph. Let C be the c x c block
 of ``adj`` between the first vertices of the classes. By symmetry and equal
@@ -37,11 +36,10 @@ exact adjacency matrix, so a matrix that recurs within a ``verify`` run
 (empty graphs among them) is decided once per process. A hit gives
 positions only, and every witness maps them through its own graph's keys.
 
-A graph's labels are the ring's element names at its vertices. They are
-built on the first read of ``SimpleGraph.labels``: only ``to_dot`` and
-``to_json_obj`` read them, and ``verify`` calls neither. The function that
-builds them holds the ring's names, not the ring, so a graph kept in the
-run memo does not keep its ring's tables.
+A graph holds no display labels and no reference to its ring, so a graph
+kept in the run memo cannot keep its ring's tables. ``to_dot`` and
+``to_json_obj`` take the ring's element names and label each vertex key
+with its name; ``verify`` calls neither.
 
 ``gamma_ideal`` and ``gamma`` share one builder. Gamma_I(R) takes its
 vertices from the ideal's cached ``Ideal.vertex_mask`` and Gamma(R) from
@@ -53,7 +51,7 @@ product mask is built.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,29 +99,18 @@ def _lone_classes(adj: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 
 class SimpleGraph:
-    """Undirected loop-free graph: ascending integer vertex keys, one display
-    label per vertex (a tuple aligned with ``vertices``), and ``adj``, the
-    read-only symmetric boolean adjacency matrix in that order. Ascending
+    """Undirected loop-free graph: ascending integer vertex keys and ``adj``,
+    the read-only symmetric boolean adjacency matrix in that order. Ascending
     keys make every exported artifact byte-deterministic. Immutable after
     construction. An ``adj`` that is not square over the vertices, not
     symmetric or has a loop raises ``ValueError``: the class-graph
     predicates are exact only on such a matrix. A writeable or
     non-contiguous ``adj`` is copied; a read-only C-contiguous one is kept.
-
-    ``labels`` may be given as a function returning them; it is called on
-    the first read of ``labels``, which only the exports make.
     """
 
-    def __init__(
-        self,
-        vertices: Sequence[int],
-        labels: Sequence[str] | Callable[[], Iterable[str]],
-        adj: np.ndarray,
-        name: str,
-    ):
+    def __init__(self, vertices: Sequence[int], adj: np.ndarray, name: str):
         self.name = str(name)
         self.vertices = tuple(vertices)
-        self._labels = labels if callable(labels) else tuple(labels)
         adj = np.asarray(adj, dtype=bool)
         if adj.flags.writeable or not adj.flags.c_contiguous:
             adj = adj.copy()
@@ -137,14 +124,6 @@ class SimpleGraph:
                 raise ValueError("adjacency matrix is not symmetric")
         adj.setflags(write=False)
         self.adj = adj
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """One display label per vertex, aligned with ``vertices``."""
-        labels = self._labels
-        if callable(labels):
-            labels = self._labels = tuple(labels())
-        return labels
 
     @cached_property
     def _classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,16 +189,19 @@ class SimpleGraph:
         n = len(self.vertices)
         return (self.edge_count == n * (n - 1) // 2, n)
 
-    def to_dot(self) -> str:
-        labels = [_dot_quote(label) for label in self.labels]
+    def to_dot(self, names: Sequence[str]) -> str:
+        """DOT text with each vertex labelled by its key's entry of ``names``
+        (the ring's ``element_names``)."""
+        labels = [_dot_quote(names[v]) for v in self.vertices]
         lines = [f"graph {_dot_quote(self.name)} {{"]
         lines += [f"  {label};" for label in labels]
         lines += [f"  {labels[i]} -- {labels[j]};" for i, j in self.edges()]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_json_obj(self) -> dict:
-        return {"vertices": list(self.labels), "edges": [[i, j] for i, j in self.edges()]}
+    def to_json_obj(self, names: Sequence[str]) -> dict:
+        """The vertices' entries of ``names`` and the edges as position pairs."""
+        return {"vertices": [names[v] for v in self.vertices], "edges": [[i, j] for i, j in self.edges()]}
 
     def __repr__(self) -> str:
         return f"SimpleGraph({self.name!r}, vertices={self.vertex_count}, edges={self.edge_count})"
@@ -236,14 +218,7 @@ def _ideal_graph(r: FiniteRing, in_i: np.ndarray, vertices: np.ndarray, name: st
         adj[block] = in_i[r.mul_table[varr[block]].take(varr, axis=1).astype(np.intp)]
     np.fill_diagonal(adj, False)
     adj.setflags(write=False)
-    verts = varr.tolist()
-    ring_names = r._name_source()
-
-    def labels():
-        names = ring_names()
-        return (names[v] for v in verts)
-
-    return SimpleGraph(verts, labels, adj, name)
+    return SimpleGraph(varr.tolist(), adj, name)
 
 
 def gamma(r: FiniteRing) -> SimpleGraph:

@@ -1,11 +1,12 @@
 """Ideal generation and enumeration, radicals, primality, quotient rings.
 
-An ideal is its membership mask. One fact is read off the multiplication
-table once per ideal and cached on it: ``Ideal.vertex_mask``, the vertex
-set of Gamma_I(R), a length-order mask from one scan in row blocks.
-``is_prime`` reads it, since Gamma_I(R) is empty exactly when I is prime,
-and ``graphs.gamma_ideal`` builds its graph on it. ``radical`` reads the
-ring's cached ``power_array``.
+An ideal is its membership mask. Two facts are cached on it as
+length-order masks. ``Ideal.vertex_mask``, the vertex set of Gamma_I(R), is
+one scan of the multiplication table in row blocks; ``is_prime`` reads it,
+since Gamma_I(R) is empty exactly when I is prime, and
+``graphs.gamma_ideal`` builds its graph on it. ``Ideal.radical_mask`` is
+one gather through the ring's cached ``power_array``; ``radical`` and
+``is_radical`` read it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,18 @@ class Ideal(ElementSet):
         hit.setflags(write=False)
         return hit
 
+    @cached_property
+    def radical_mask(self) -> np.ndarray:
+        """Read-only mask of the radical of I: the x with some power in I.
+
+        Exponents up to the ring order suffice; once a power lands in the
+        ideal all higher powers stay there, so the ring's cached power array
+        x^(2^k), 2^k >= order, decides it.
+        """
+        mask = self.mask[self.ring.power_array]
+        mask.setflags(write=False)
+        return mask
+
     @property
     def is_zero(self) -> bool:
         return len(self) == 1
@@ -89,6 +102,18 @@ def _sum_mask(r: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _mask_of(r, r.add_table.take(np.flatnonzero(a), axis=0).take(np.flatnonzero(b), axis=1))
 
 
+def _principal_sum(r: FiniteRing, elements: Iterable[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(mask, used): the sum of the principal ideals of ``elements``, in
+    order; ``used`` are the elements not yet in the sum when reached."""
+    mask = np.arange(r.order) == r.zero
+    used: list[int] = []
+    for g in elements:
+        if not mask[g]:
+            used.append(g)
+            mask = _sum_mask(r, mask, _principal_mask(r, g))
+    return mask, tuple(used)
+
+
 def generate_ideal(r: FiniteRing, gens: Iterable[int]) -> Ideal:
     """Smallest ideal containing the given elements (the zero ideal for []):
     the sum of the generators' principal ideals."""
@@ -99,23 +124,13 @@ def generate_ideal(r: FiniteRing, gens: Iterable[int]) -> Ideal:
             raise InvalidElementError(f"generator {g} out of range for ring of order {r.order}")
         if g not in gen_list:
             gen_list.append(g)
-    mask = np.arange(r.order) == r.zero
-    for g in gen_list:
-        if not mask[g]:
-            mask = _sum_mask(r, mask, _principal_mask(r, g))
-    return Ideal(r, mask, tuple(gen_list))
+    return Ideal(r, _principal_sum(r, gen_list)[0], tuple(gen_list))
 
 
 def minimal_generators(r: FiniteRing, mask: np.ndarray) -> tuple[int, ...]:
     """Greedy small generating sequence for an ideal's membership mask:
     each member not yet covered, in ascending order, joins the generators."""
-    gens: list[int] = []
-    covered = np.arange(r.order) == r.zero
-    for m in np.flatnonzero(mask).tolist():
-        if not covered[m]:
-            gens.append(m)
-            covered = _sum_mask(r, covered, _principal_mask(r, m))
-    return tuple(gens)
+    return _principal_sum(r, np.flatnonzero(mask).tolist())[1]
 
 
 def _incomparable(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,19 +191,12 @@ def all_ideals(r: FiniteRing, *, max_order: int = DEFAULT_IDEAL_ENUMERATION_CAP)
 
 
 def radical(i: Ideal) -> Ideal:
-    """Elements with some power landing in the ideal.
-
-    Exponents up to the ring order suffice; once a power lands in the
-    ideal all higher powers stay there, so the ring's cached power array
-    x^(2^k), 2^k >= order, decides it.
-    """
-    r = i.ring
-    mask = i.mask[r.power_array]
-    return Ideal(r, mask, minimal_generators(r, mask))
+    """Elements with some power landing in the ideal (``Ideal.radical_mask``)."""
+    return Ideal(i.ring, i.radical_mask, minimal_generators(i.ring, i.radical_mask))
 
 
 def is_radical(i: Ideal) -> bool:
-    return bool(np.array_equal(radical(i).mask, i.mask))
+    return bool(np.array_equal(i.radical_mask, i.mask))
 
 
 def is_prime(i: Ideal) -> bool:

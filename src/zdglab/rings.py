@@ -11,9 +11,9 @@ Three facts are read off the tables once per ring, on first use, and kept
 on it as read-only length-order cached properties: ``zero_divisor_mask``,
 ``unit_mask`` and ``power_array`` (x^(2^k) with 2^k >= order).
 ``zero_divisors``, ``nilpotents``, ``total_quotient_ring`` and
-``ideals.radical`` read them. Each is one scan of ``mul_table`` in row
-blocks of ``_BLOCK_CELLS`` cells (the power array only reads the diagonal),
-so no order x order temporary is built for them. What recurs within a
+``ideals.Ideal.radical_mask`` read them. Each is one scan of ``mul_table``
+in row blocks of ``_BLOCK_CELLS`` cells (the power array only reads the
+diagonal), so no order x order temporary is built for them. What recurs within a
 ``verify`` run but belongs to no one object is kept in ``run_memo``.
 
 Element names are for display only, and no predicate reads them. The

@@ -19,9 +19,10 @@ Gamma(R/I) itself, von Neumann regularity of R/I and |Z(R/I)|. They are
 keyed on the exact tables of R/I, so they assume nothing about the ring.
 Gamma_I(R) is always built from R's own table. The memo also holds the
 class graph of each adjacency matrix decided (see ``graphs``). It is set by
-``_set_run_memo`` and is None outside a run.
-``verify`` reads no element name or graph label, and both are built only
-on first read (see ``rings`` and ``graphs``).
+``_set_run_memo`` and is None outside a run. A graph holds no labels and
+no ring, so a memoised Gamma(R/I) keeps nothing of R/I but its matrix.
+``verify`` reads no element name, and names are built only on first read
+(see ``rings``).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .ideals import (
     all_ideals,
     generate_ideal,
     is_prime,
+    is_radical,
     quotient_ring,
 )
 from .rings import (
@@ -120,12 +122,12 @@ class PairAnalysis:
 
     The quotient side comes from the run memo when it holds R/I's tables.
     On such a hit ``gq`` is the Gamma(R/I) of the first quotient with those
-    tables: equal vertices and adjacency, but that quotient's name and
-    labels. The zero ideal skips the memo: R/(0) is R, whose facts are
-    cached on it, and keying a large R would copy its tables.
+    tables: equal vertices and adjacency, but that quotient's name. The
+    zero ideal skips the memo: R/(0) is R, whose facts are cached on it,
+    and keying a large R would copy its tables.
     """
 
-    __slots__ = ("ring", "ideal", "quotient", "coset_map", "gi", "gq", "radical_mask", "verdict")
+    __slots__ = ("ring", "ideal", "quotient", "coset_map", "gi", "gq", "verdict")
 
     def __init__(self, ring: FiniteRing, ideal: Ideal, *, _corrupt_graph: bool = False):
         self.ring = ring
@@ -142,11 +144,10 @@ class PairAnalysis:
         if _corrupt_graph and gi.vertex_count:
             gi = _drop_top_vertex(gi)
         self.gi = gi
-        self.radical_mask = ideal.mask[ring.power_array]
         self.verdict = PropertyVerdict(
             ring_spec=ring.spec,
             ideal_members=ideal.sorted_members(),
-            ideal_is_radical=bool(np.array_equal(self.radical_mask, ideal.mask)),
+            ideal_is_radical=is_radical(ideal),
             ideal_is_prime=is_prime(ideal),
             quotient_vertex_count=gq.vertex_count,
             gi_vertex_count=gi.vertex_count,
@@ -166,7 +167,7 @@ def analyze_pair(ring: FiniteRing, ideal: Ideal, *, _corrupt_graph: bool = False
 
 def _drop_top_vertex(graph: SimpleGraph) -> SimpleGraph:
     # fault-injection hook: deterministically corrupt adjacency data
-    return SimpleGraph(graph.vertices[:-1], lambda: graph.labels[:-1], graph.adj[:-1, :-1], graph.name)
+    return SimpleGraph(graph.vertices[:-1], graph.adj[:-1, :-1], graph.name)
 
 
 # --- checks -----------------------------------------------------------------
@@ -196,7 +197,7 @@ def check_nonradical_not_complemented(a: PairAnalysis):
     if not applicable:
         return False, None
     if a.verdict.gi_complemented:
-        witness = int(np.flatnonzero(a.radical_mask & ~a.ideal.mask)[0])
+        witness = int(np.flatnonzero(a.ideal.radical_mask & ~a.ideal.mask)[0])
         return True, {"gi_complemented": True, "radical_excess_element": witness}
     return True, None
 
@@ -379,12 +380,6 @@ class VerificationReport:
     failures_total: int
     tool_version: str = TOOL_VERSION
     ordering_key: str = ORDERING_KEY
-
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.check_name == name:
-                return c
-        raise KeyError(name)
 
     def to_json(self) -> str:
         # one shallow vars() per record: json.dumps reads the nested lists

@@ -26,8 +26,9 @@ neither change touched.
 Element names are built eagerly from the spec, as the builders did before
 names were made on first read. A pair's verdict comes from the quotient
 side computed afresh on every pair, which the verifier's per-run memo
-replaced. Members and membership of an element set are read off its mask
-here, since no library code needs them.
+replaced. Members and membership of an element set are read off its mask,
+and a report's result for one check is looked up by name, here, since no
+library code needs them.
 """
 
 from math import gcd
@@ -36,12 +37,14 @@ import numpy as np
 
 from zdglab import (
     CapExceededError,
+    CheckResult,
     ElementSet,
     FiniteRing,
     Ideal,
     PropertyVerdict,
     RingConsistencyError,
     SimpleGraph,
+    VerificationReport,
     gamma,
     gamma_ideal,
     is_prime,
@@ -67,6 +70,14 @@ def members(s: ElementSet) -> frozenset[int]:
 def contains(s: ElementSet, x) -> bool:
     """Membership of ``x``: an element index of the ring with its mask bit set."""
     return isinstance(x, (int, np.integer)) and 0 <= x < s.ring.order and bool(s.mask[x])
+
+
+def check_result(report: VerificationReport, name: str) -> CheckResult:
+    """The result of the check called ``name`` in a verification report."""
+    for c in report.checks:
+        if c.check_name == name:
+            return c
+    raise KeyError(name)
 
 
 def zn_zero_divisors(n: int) -> set[int]:
@@ -204,9 +215,9 @@ def adj_from_edges(verts, edges) -> dict:
 
 
 def graph_from_edges(vertices, edges, name: str = "") -> SimpleGraph:
-    """A ``SimpleGraph`` on the vertex keys ``vertices``, each labelled by its
-    decimal text, with the undirected ``edges`` given as key pairs. A
-    self-loop or an edge on an unknown key raises ValueError."""
+    """A ``SimpleGraph`` on the vertex keys ``vertices`` with the undirected
+    ``edges`` given as key pairs. A self-loop or an edge on an unknown key
+    raises ValueError."""
     vs = sorted(int(v) for v in vertices)
     pos = {v: k for k, v in enumerate(vs)}
     adj = np.zeros((len(vs), len(vs)), dtype=bool)
@@ -216,7 +227,7 @@ def graph_from_edges(vertices, edges, name: str = "") -> SimpleGraph:
         if a not in pos or b not in pos:
             raise ValueError(f"edge ({a},{b}) uses an unknown vertex")
         adj[pos[a], pos[b]] = adj[pos[b], pos[a]] = True
-    return SimpleGraph(vs, [str(v) for v in vs], adj, name)
+    return SimpleGraph(vs, adj, name)
 
 
 def edge_keys(g: SimpleGraph) -> list[tuple[int, int]]:

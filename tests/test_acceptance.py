@@ -47,7 +47,7 @@ from zdglab import (
 )
 from zdglab.cli import main
 
-from oracles import members
+from oracles import check_result, members
 
 SINGLE_THREAD_BUDGET_SECONDS = 60.0
 MIN_APPLICABLE_PAIRS = 5
@@ -129,7 +129,7 @@ def test_criterion_2_fixture_verdicts():
 
 def test_criterion_3_cardinality_identity(default_run):
     report, _ = default_run
-    card = report.check("cardinality_identity")
+    card = check_result(report, "cardinality_identity")
     recomputed = all(
         v.gi_vertex_count == len(v.ideal_members) * v.quotient_vertex_count
         for v in report.verdicts
@@ -157,7 +157,7 @@ def test_criterion_4_classification_agreement(default_run):
             exclusive = False
         if v in scope and v.gi_complemented != (case1 or case2):
             agreement = False
-    check = report.check("classification_cases")
+    check = check_result(report, "classification_cases")
     ok = agreement and exclusive and not check.failures and check.pairs_applicable == len(scope)
     report_line("4 classification agreement", ok, f" ({len(scope)} scoped pairs)")
     assert agreement
@@ -187,8 +187,8 @@ def test_criterion_5_equivalences(default_run):
     moreover_scope = [v for v in report.verdicts if v.ideal_is_radical or len(v.ideal_members) > 1]
     moreover_ok = all(v.gi_complemented == v.gi_uniquely_complemented for v in moreover_scope)
     prime_pairs = [v for v in moreover_scope if v.ideal_is_prime]
-    chain = report.check("radical_equivalence_chain")
-    iff = report.check("complemented_iff_uniquely_complemented")
+    chain = check_result(report, "radical_equivalence_chain")
+    iff = check_result(report, "complemented_iff_uniquely_complemented")
     ok = (
         radical_ok
         and moreover_ok

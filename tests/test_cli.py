@@ -286,6 +286,11 @@ def test_verify_text_summary(tmp_path, capsys):
 def test_verify_unreadable_catalogue(tmp_path, capsys):
     assert main(["verify", "--catalogue", str(tmp_path / "missing.txt"), "--quiet"]) == 2
     assert "error:" in capsys.readouterr().err
+    not_utf8 = tmp_path / "bad.cat"
+    not_utf8.write_bytes(b"Zn:8\n\xff\xfe\n")
+    assert main(["verify", "--catalogue", str(not_utf8), "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {not_utf8}: not UTF-8 at byte offset 5\n"
 
 
 def test_verify_bad_catalogue_line(tmp_path, capsys):

@@ -262,16 +262,16 @@ def test_dot_export_is_deterministic():
         '  "2" -- "6";\n'
         "}\n"
     )
-    assert g.to_dot() == expected
-    assert g.to_dot() == gamma_ideal(r, generate_ideal(r, [4])).to_dot()
+    assert g.to_dot(r.element_names) == expected
+    assert g.to_dot(r.element_names) == gamma_ideal(r, generate_ideal(r, [4])).to_dot(r.element_names)
 
 
 def test_json_export_shape():
     r = build_zn(8)
     g = gamma_ideal(r, generate_ideal(r, [4]))
-    assert g.to_json_obj() == {"vertices": ["2", "6"], "edges": [[0, 1]]}
+    assert g.to_json_obj(r.element_names) == {"vertices": ["2", "6"], "edges": [[0, 1]]}
     r12 = build_zn(12)
-    obj = gamma_ideal(r12, generate_ideal(r12, [6])).to_json_obj()
+    obj = gamma_ideal(r12, generate_ideal(r12, [6])).to_json_obj(r12.element_names)
     assert obj["vertices"] == ["2", "3", "4", "8", "9", "10"]
     assert len(obj["edges"]) == 8
     assert all(i < j for i, j in obj["edges"])
@@ -284,7 +284,7 @@ def test_quotient_graph_uses_coset_labels():
     q, _ = quotient_ring(r, generate_ideal(r, [6]))
     g = gamma(q)
     assert g.vertices == (2, 3, 4)
-    assert g.labels == ("2+I", "3+I", "4+I")
+    assert g.to_json_obj(q.element_names)["vertices"] == ["2+I", "3+I", "4+I"]
 
 
 def _pair_graphs(entries):
@@ -346,7 +346,7 @@ def _planted_graph(classes, seed):
     rng = np.random.default_rng(seed)
     members = np.repeat(np.arange(len(classes)), rng.integers(1, 4, len(classes)))
     rng.shuffle(members)
-    return SimpleGraph(range(len(members)), lambda: (), classes[np.ix_(members, members)], "planted")
+    return SimpleGraph(range(len(members)), classes[np.ix_(members, members)], "planted")
 
 
 def _random_class_graph(count, density, seed):
@@ -445,39 +445,39 @@ def test_orth_matches_dense_product_on_small_graphs(g):
 def test_graph_rejects_adjacency_that_is_not_square_symmetric_and_loop_free():
     adj = np.zeros((3, 3), dtype=bool)
     adj[0, 1] = adj[1, 0] = True
-    SimpleGraph(range(3), "abc", adj, "ok")
+    SimpleGraph(range(3), adj, "ok")
     with pytest.raises(ValueError, match="shape"):
-        SimpleGraph(range(3), "abc", adj[:, :2], "not square")
+        SimpleGraph(range(3), adj[:, :2], "not square")
     with pytest.raises(ValueError, match="shape"):
-        SimpleGraph(range(2), "ab", adj, "more rows than vertices")
+        SimpleGraph(range(2), adj, "more rows than vertices")
     asymmetric = adj.copy()
     asymmetric[1, 2] = True
     with pytest.raises(ValueError, match="symmetric"):
-        SimpleGraph(range(3), "abc", asymmetric, "asymmetric")
+        SimpleGraph(range(3), asymmetric, "asymmetric")
     # symmetry is checked in row blocks of 218 rows at V = 300: the only
     # asymmetric cell, (250, 280), lies in the second block
     assert [b.start for b in row_blocks(300, 300)] == [0, 218]
     big = np.zeros((300, 300), dtype=bool)
     big[10, 20] = big[20, 10] = big[250, 260] = big[260, 250] = True
-    SimpleGraph(range(300), lambda: (), big.copy(), "ok")
+    SimpleGraph(range(300), big.copy(), "ok")
     big[250, 280] = True
     with pytest.raises(ValueError, match="symmetric"):
-        SimpleGraph(range(300), lambda: (), big, "asymmetric in the second block")
+        SimpleGraph(range(300), big, "asymmetric in the second block")
     looped = adj.copy()
     looped[2, 2] = True
     with pytest.raises(ValueError, match="loop"):
-        SimpleGraph(range(3), "abc", looped, "looped")
+        SimpleGraph(range(3), looped, "looped")
 
 
 def test_graph_leaves_the_callers_adjacency_array_writeable():
     adj = np.zeros((3, 3), dtype=bool)
     adj[0, 1] = adj[1, 0] = True
-    g = SimpleGraph(range(3), "abc", adj, "P2 and an isolated vertex")
+    g = SimpleGraph(range(3), adj, "P2 and an isolated vertex")
     assert adj.flags.writeable and not g.adj.flags.writeable
     adj[0, 2] = adj[2, 0] = True  # the caller's matrix is now P3
     assert g.edges() == [(0, 1)]
     assert not g.is_complemented()  # first decided after the write: 2 is isolated
-    assert SimpleGraph(range(3), "abc", adj, "P3").is_uniquely_complemented()
+    assert SimpleGraph(range(3), adj, "P3").is_uniquely_complemented()
 
 
 def test_path_and_complete_bipartite_classes():
@@ -500,7 +500,7 @@ def test_orth_after_dropping_the_top_vertex():
     assert not orthogonal(g, 0, 2)
     _assert_orth_matches_dense(g)
     dropped = _drop_top_vertex(g)
-    assert dropped.vertices == (0, 1, 2, 3) and dropped.labels == ("0", "1", "2", "3")
+    assert dropped.vertices == (0, 1, 2, 3)
     assert len(dropped._classes[0]) == 2
     assert orthogonal(dropped, 0, 2)
     assert dropped.is_uniquely_complemented() and not g.is_complemented()

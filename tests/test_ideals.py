@@ -116,13 +116,14 @@ def test_all_ideals_cap():
 
 
 def matches_set_oracle(r):
-    """all_ideals(r), after checking it and each radical, is_prime and
-    generate_ideal round trip against the set-based oracles."""
+    """all_ideals(r), after checking it and each radical, is_radical,
+    is_prime and generate_ideal round trip against the set-based oracles."""
     ideals = all_ideals(r)
     assert [(members(i), i.generators) for i in ideals] == set_all_ideals(r), r.spec
     for i in ideals:
-        rad = radical(i)
-        assert (members(rad), rad.generators) == set_radical(r, members(i)), (r.spec, i)
+        rad, expected = radical(i), set_radical(r, members(i))
+        assert (members(rad), rad.generators) == expected, (r.spec, i)
+        assert is_radical(i) == (expected[0] == members(i)), (r.spec, i)
         assert is_prime(i) == set_is_prime(r, members(i)), (r.spec, i)
         again = generate_ideal(r, i.generators)
         assert (members(again), again.generators) == set_generate_ideal(r, i.generators)

@@ -374,7 +374,7 @@ def test_names_built_on_first_read_equal_eager_names_on_the_default_catalogue():
         graphs = [gamma_ideal(ring, i) for i, _, _ in pairs]
         for (ideal, q, cmap), gi in zip(pairs, graphs):
             assert q.element_names == eager_quotient_names(ring, cmap), (entry.spec, ideal)
-            assert gi.labels == tuple(ring.element_names[v] for v in gi.vertices)
+            assert gi.to_json_obj(ring.element_names)["vertices"] == [ring.element_names[v] for v in gi.vertices]
         assert ring.element_names == eager_element_names(node), entry.spec
         assert ring._names is ring.element_names
 

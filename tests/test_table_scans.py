@@ -143,7 +143,7 @@ def test_cached_facts_are_read_only_and_linear():
     ideal_facts = {k: v for k, v in vars(ideal).items() if k not in fields}
     ring_facts = {k: v for k, v in vars(ring).items() if k not in vars(build_zn(2))}
     assert set(ring_facts) == {"zero_divisor_mask", "unit_mask", "power_array"}
-    assert set(ideal_facts) == {"vertex_mask"}
+    assert set(ideal_facts) == {"vertex_mask", "radical_mask"}
     for fact in (*ring_facts.values(), *ideal_facts.values()):
         assert isinstance(fact, np.ndarray)
         assert fact.shape == (ring.order,)

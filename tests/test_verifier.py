@@ -36,7 +36,7 @@ from zdglab.verifier import (
     check_radical_equivalences,
 )
 
-from oracles import edge_keys, square_zero_ring
+from oracles import check_result, edge_keys, square_zero_ring
 
 
 def pair(spec, gens):
@@ -164,13 +164,13 @@ def test_check_annihilator_agreement():
 
 def with_gi_edges(analysis, edges):
     """The same pair with Gamma_I(R) replaced by the graph on the same
-    vertices and labels whose edges are the key pairs ``edges``."""
+    vertices whose edges are the key pairs ``edges``."""
     g = analysis.gi
     adj = np.zeros_like(g.adj)
     for a, b in edges:
         i, j = g.vertices.index(a), g.vertices.index(b)
         adj[i, j] = adj[j, i] = True
-    analysis.gi = SimpleGraph(g.vertices, g.labels, adj, g.name)
+    analysis.gi = SimpleGraph(g.vertices, adj, g.name)
     return analysis
 
 
@@ -251,8 +251,8 @@ def test_run_catalogue_check_names_and_scoping():
     # proper ideals of Z_8: (0), (4), (2); the zero ideal is non-radical,
     # so the complemented-iff-uc statement applies to only two of them
     assert report.catalogue["pairs"] == 3
-    assert report.check("complemented_iff_uniquely_complemented").pairs_applicable == 2
-    assert report.check("cardinality_identity").pairs_applicable == 3
+    assert check_result(report, "complemented_iff_uniquely_complemented").pairs_applicable == 2
+    assert check_result(report, "cardinality_identity").pairs_applicable == 3
 
 
 def test_report_is_byte_deterministic():
@@ -293,7 +293,6 @@ def test_analyze_pair_builds_no_names_or_labels():
     a = analyze_pair(ring, generate_ideal(ring, [2]))
     assert not a.ideal.is_zero and a.gi.vertex_count and a.gq.vertex_count
     assert callable(ring._names) and callable(a.quotient._names)
-    assert callable(a.gi._labels) and callable(a.gq._labels)
 
 
 def test_verdicts_sorted_by_ring_spec_then_members():
@@ -305,7 +304,7 @@ def test_verdicts_sorted_by_ring_spec_then_members():
 def test_fault_injection_produces_counterexamples():
     report = run_catalogue(["Zn:8"], description="d", inject_fault=True)
     assert report.failures_total > 0
-    card = report.check("cardinality_identity")
+    card = check_result(report, "cardinality_identity")
     assert card.failures
     failure = card.failures[0]
     assert failure["ring_spec"] == "Zn:8"
