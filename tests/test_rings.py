@@ -372,10 +372,11 @@ def test_names_built_on_first_read_equal_eager_names_on_the_default_catalogue():
         # own names are not built yet
         pairs = [(i, *quotient_ring(ring, i)) for i in all_ideals(ring) if i.is_proper and not i.is_zero]
         graphs = [gamma_ideal(ring, i) for i, _, _ in pairs]
+        eager = eager_element_names(node)
         for (ideal, q, cmap), gi in zip(pairs, graphs):
             assert q.element_names == eager_quotient_names(ring, cmap), (entry.spec, ideal)
-            assert gi.to_json_obj(ring.element_names)["vertices"] == [ring.element_names[v] for v in gi.vertices]
-        assert ring.element_names == eager_element_names(node), entry.spec
+            assert gi.to_json_obj(ring.element_names)["vertices"] == [eager[v] for v in gi.vertices]
+        assert ring.element_names == eager, entry.spec
         assert ring._names is ring.element_names
 
 
