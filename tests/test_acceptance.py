@@ -16,11 +16,14 @@ Criteria:
      ring-axiom scan for every constructed ring
   7. byte-deterministic outputs and the exit-status contract
 
-The golden tests pin the sha256 of the default-catalogue report and of the
-report on ``perfbench/scale.cat`` (rings of order 512-4096), the bytes that
-``zdglab verify`` writes at every ``--jobs`` value. The default report is
-checked at jobs 1, evaluated in this process, and at jobs 2, evaluated in a
-process pool whose workers each start their own run memo.
+The golden tests pin the sha256 of the default-catalogue report, of the
+report on ``perfbench/scale.cat`` (rings of order 512-4096) and of the
+fault-injection report on ``perfbench/canary.cat``, the bytes that
+``zdglab verify`` writes at every ``--jobs`` value. The default and canary
+reports are checked at jobs 1, evaluated in this process, and at jobs 2,
+evaluated in a process pool whose workers each start their own run memo.
+The canary report is the only pinned one with failures, so it pins their
+witnesses and their order.
 """
 
 import hashlib
@@ -56,6 +59,10 @@ DEFAULT_REPORT_SHA256 = "1b0a8e0aafd251c087c97173571e35b19b1add73aef0b8f71f7174e
 # holds only for the description "perfbench/scale.cat", which the report embeds
 SCALE_REPORT_SHA256 = "d7122aa95593f6856edf7ffc962982c7211e3f37dfb0a72fa0dfb12f5195493c"
 SCALE_CATALOGUE = Path(__file__).resolve().parents[1] / "perfbench" / "scale.cat"
+# with --inject-fault, and only for the description "perfbench/canary.cat"
+CANARY_REPORT_SHA256 = "fbeec8d9ef1a07d4362f59bbfdb1f5d5c4bed690acbd4bdd16bdf5bcfaedbe24"
+CANARY_FAILURES = 18
+CANARY_CATALOGUE = SCALE_CATALOGUE.with_name("canary.cat")
 
 
 def report_line(name: str, ok: bool, extra: str = "") -> None:
@@ -312,3 +319,11 @@ def test_scale_report_golden_hash():
     report = run_catalogue(entries, description="perfbench/scale.cat", jobs=1)
     assert report.failures_total == 0
     assert sha256_of(report) == SCALE_REPORT_SHA256
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_canary_fault_report_golden_hash(jobs):
+    entries = parse_catalogue_text(CANARY_CATALOGUE.read_text(encoding="utf-8"))
+    report = run_catalogue(entries, description="perfbench/canary.cat", jobs=jobs, inject_fault=True)
+    assert report.failures_total == CANARY_FAILURES
+    assert sha256_of(report) == CANARY_REPORT_SHA256
