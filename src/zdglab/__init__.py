@@ -22,7 +22,6 @@ from .errors import (
 )
 from .rings import (
     DEFAULT_MAX_ORDER,
-    ElementSet,
     FiniteRing,
     build_poly_quotient,
     build_zn,
@@ -72,7 +71,6 @@ __all__ = [
     "SpecParseError",
     "CatalogueError",
     "FiniteRing",
-    "ElementSet",
     "build_zn",
     "build_poly_quotient",
     "direct_product",

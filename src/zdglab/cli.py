@@ -115,10 +115,10 @@ def cmd_graph(args) -> int:
 
 
 def _classification_case(verdict) -> str:
-    if verdict.ideal_is_prime or len(verdict.ideal_members) == 1:
+    cases = classification_cases(verdict)
+    if cases is None:
         return "n/a"
-    case1, case2 = classification_cases(verdict)
-    return "1" if case1 else "2" if case2 else "none"
+    return "1" if cases[0] else "2" if cases[1] else "none"
 
 
 def cmd_check(args) -> int:
@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
             text = data.decode("utf-8")
         except UnicodeDecodeError as e:
             raise CatalogueError(f"{args.catalogue}: not UTF-8 at byte offset {e.start}") from e
-        entries = parse_catalogue_text(text)
+        entries = parse_catalogue_text(text.removeprefix("\ufeff"))
         description = args.catalogue
     progress = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     report = run_catalogue(
@@ -247,7 +247,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(verify, ("json", "text"), "json")
     verify.add_argument("--ideal-cap", type=int, default=DEFAULT_IDEAL_ENUMERATION_CAP, metavar="N")
     verify.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="parallel workers (0 = all processors)")
+                        help="parallel workers (0 = every processor this process may run on)")
     verify.add_argument("--quiet", action="store_true", help="suppress per-entry progress on stderr")
     verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)

@@ -1,42 +1,59 @@
 """Ideal generation and enumeration, radicals, primality, quotient rings.
 
-An ideal is its membership mask. Two facts are cached on it as
-length-order masks. ``Ideal.vertex_mask``, the vertex set of Gamma_I(R), is
-one scan of the multiplication table in row blocks; ``is_prime`` reads it,
-since Gamma_I(R) is empty exactly when I is prime, and
-``graphs.gamma_ideal`` builds its graph on it. ``Ideal.radical_mask`` is
-one gather through the ring's cached ``power_array``; ``radical`` and
-``is_radical`` read it.
+An ideal is its membership mask, and ``Ideal`` is the only subset of a ring
+kept as one. Two facts are cached on it as length-order masks.
+``Ideal.vertex_mask``, the vertex set of Gamma_I(R), is one scan of the
+multiplication table in row blocks; ``is_prime`` reads it, since Gamma_I(R)
+is empty exactly when I is prime, and ``graphs.gamma_ideal`` builds its
+graph on it. ``Ideal.radical_mask`` is one gather through the ring's cached
+``power_array``; ``radical`` and ``is_radical`` read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .errors import CapExceededError, ImproperIdealError, InvalidElementError
-from .rings import ElementSet, FiniteRing, packed_words, row_blocks, row_classes
+from .rings import FiniteRing, packed_words, row_blocks, row_classes
 
 DEFAULT_IDEAL_ENUMERATION_CAP = 256
 
 
 @dataclass(frozen=True, eq=False)
-class Ideal(ElementSet):
-    """An ideal given by its membership mask.
-
-    ``generators`` records provenance; ``mask`` is always the complete
-    ideal (0 in it, closed under addition and ring multiplication).
+class Ideal:
+    """An ideal given by its read-only boolean membership mask over
+    ``0..order-1``, always the complete ideal (0 in it, closed under addition
+    and ring multiplication). Iteration (ascending members) and ``len`` are
+    read off the mask, the size counted once at construction; ``generators``
+    records provenance. Instances compare by identity (compare masks).
     """
 
+    ring: FiniteRing
+    mask: np.ndarray
     generators: tuple[int, ...]
+    _size: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        super().__post_init__()
-        if not self.mask[self.ring.zero]:
+        mask = np.array(self.mask, dtype=bool)
+        if mask.shape != (self.ring.order,):
+            raise InvalidElementError(
+                f"membership mask must have shape ({self.ring.order},), got {mask.shape}"
+            )
+        if not mask[self.ring.zero]:
             raise InvalidElementError("an ideal must contain zero")
+        mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_size", int(np.count_nonzero(mask)))
+
+    def __iter__(self):
+        return iter(np.flatnonzero(self.mask).tolist())
+
+    def __len__(self) -> int:
+        return self._size
 
     @cached_property
     def vertex_mask(self) -> np.ndarray:

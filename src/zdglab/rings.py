@@ -10,11 +10,12 @@ int64 temporary.
 Three facts are read off the tables once per ring, on first use, and kept
 on it as read-only length-order cached properties: ``zero_divisor_mask``,
 ``unit_mask`` and ``power_array`` (x^(2^k) with 2^k >= order).
-``zero_divisors``, ``nilpotents``, ``total_quotient_ring`` and
-``ideals.Ideal.radical_mask`` read them. Each is one scan of ``mul_table``
-in row blocks of ``_BLOCK_CELLS`` cells (the power array only reads the
-diagonal), so no order x order temporary is built for them. What recurs within a
-``verify`` run but belongs to no one object is kept in ``run_memo``.
+``zero_divisors`` and ``nilpotents`` (as ascending member tuples),
+``total_quotient_ring`` and ``ideals.Ideal.radical_mask`` read them. Each
+is one scan of ``mul_table`` in row blocks of ``_BLOCK_CELLS`` cells (the
+power array only reads the diagonal), so no order x order temporary is
+built for them. What recurs within a ``verify`` run but belongs to no one
+object is kept in ``run_memo``.
 
 Element names are for display only, and no predicate reads them. The
 builders hand ``FiniteRing`` a function that makes them, and the names are
@@ -23,7 +24,6 @@ built on the first read of ``element_names``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -232,37 +232,6 @@ def _checked_names(names: Iterable[str], order: int) -> tuple[str, ...]:
     return names
 
 
-@dataclass(frozen=True, eq=False)
-class ElementSet:
-    """An immutable subset of a ring's elements.
-
-    ``mask`` is a read-only boolean membership array over ``0..order-1`` and
-    the only input; iteration and ``len`` are derived from it, the size
-    counted once at construction. Instances compare by identity (compare
-    masks to compare subsets).
-    """
-
-    ring: FiniteRing
-    mask: np.ndarray
-    _size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        mask = np.array(self.mask, dtype=bool)
-        if mask.shape != (self.ring.order,):
-            raise InvalidElementError(
-                f"membership mask must have shape ({self.ring.order},), got {mask.shape}"
-            )
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_size", int(np.count_nonzero(mask)))
-
-    def __iter__(self):
-        return iter(np.flatnonzero(self.mask).tolist())
-
-    def __len__(self) -> int:
-        return self._size
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -437,19 +406,21 @@ def _rows_holding(r: FiniteRing, value: int, skip_column: int | None = None) -> 
     return hits
 
 
-def zero_divisors(r: FiniteRing) -> ElementSet:
-    """Z(R) = elements x with x*y = 0 for some nonzero y (0 always qualifies)."""
-    return ElementSet(r, r.zero_divisor_mask)
+def zero_divisors(r: FiniteRing) -> tuple[int, ...]:
+    """Z(R) = elements x with x*y = 0 for some nonzero y (0 always
+    qualifies), ascending, read off ``zero_divisor_mask``."""
+    return tuple(np.flatnonzero(r.zero_divisor_mask).tolist())
 
 
-def nilpotents(r: FiniteRing) -> ElementSet:
-    """Elements with some power equal to zero, read off ``power_array``."""
-    return ElementSet(r, r.power_array == r.zero)
+def nilpotents(r: FiniteRing) -> tuple[int, ...]:
+    """Elements with some power equal to zero, ascending, read off
+    ``power_array``."""
+    return tuple(np.flatnonzero(r.power_array == r.zero).tolist())
 
 
 def is_reduced(r: FiniteRing) -> bool:
     """True when the only nilpotent element is zero."""
-    return list(nilpotents(r)) == [r.zero]
+    return nilpotents(r) == (r.zero,)
 
 
 def is_von_neumann_regular(r: FiniteRing) -> bool:

@@ -244,22 +244,23 @@ def check_complemented_transfer(a: PairAnalysis):
     return True, None
 
 
-def classification_cases(v: PropertyVerdict) -> tuple[bool, bool]:
-    """The two cases of the classification: (1) |Z(R/I)| = 2 and |I| = 2;
-    (2) Gamma(R/I) complemented and I radical."""
+def classification_cases(v: PropertyVerdict) -> tuple[bool, bool] | None:
+    """The two cases of the classification for a nonzero non-prime ideal:
+    (1) |Z(R/I)| = 2 and |I| = 2; (2) Gamma(R/I) complemented and I
+    radical. None for a zero or prime ideal, outside the statement."""
+    if v.ideal_is_prime or len(v.ideal_members) == 1:
+        return None
     case1 = v.quotient_z_count == 2 and len(v.ideal_members) == 2
-    case2 = v.quotient_graph_complemented and v.ideal_is_radical
-    return case1, case2
+    return case1, v.quotient_graph_complemented and v.ideal_is_radical
 
 
 def check_classification_cases(a: PairAnalysis):
     """For nonzero non-prime I, Gamma_I(R) is complemented exactly when one
-    of two mutually exclusive cases holds: (1) |Z(R/I)| = 2 and |I| = 2;
-    (2) Gamma(R/I) complemented and I radical."""
-    applicable = not a.ideal.is_zero and not a.verdict.ideal_is_prime
-    if not applicable:
+    of the two mutually exclusive ``classification_cases`` holds."""
+    cases = classification_cases(a.verdict)
+    if cases is None:
         return False, None
-    case1, case2 = classification_cases(a.verdict)
+    case1, case2 = cases
     if case1 and case2:
         return True, {"case1": True, "case2": True, "reason": "cases not mutually exclusive"}
     if a.verdict.gi_complemented != (case1 or case2):
@@ -442,7 +443,9 @@ def evaluate_entry(
 ) -> dict:
     """Analyze every requested proper ideal of one catalogue ring.
 
-    Cap overruns and bad filters skip the entry (recorded, not fatal).
+    Each pair is recorded as (verdict, outcomes), with the (applicable,
+    failure) result of every check in ``CHECKS`` order. Cap overruns and
+    bad filters skip the entry (recorded, not fatal).
     """
     try:
         ring = build_ring(entry.spec, max_order=max_order)
@@ -460,11 +463,7 @@ def evaluate_entry(
     pairs = []
     for ideal in ideals:
         analysis = analyze_pair(ring, ideal, _corrupt_graph=inject_fault)
-        outcome = {}
-        for name, fn in CHECKS:
-            applicable, failure = fn(analysis)
-            outcome[name] = {"applicable": bool(applicable), "failure": failure}
-        pairs.append({"verdict": analysis.verdict, "checks": outcome})
+        pairs.append((analysis.verdict, tuple(fn(analysis) for _, fn in CHECKS)))
     return {"spec": ring.spec, "skipped": None, "pairs": pairs}
 
 
@@ -482,7 +481,8 @@ def run_catalogue(
 
     Entries may be CatalogueEntry objects or plain spec strings. Results are
     merged in (ring_spec, ideal_members) order, so the report is byte-stable
-    for any parallelism degree.
+    for any parallelism degree. A ``jobs`` below 1 means every processor
+    this process may run on.
 
     Each process that evaluates entries starts with an empty run memo:
     this one at ``jobs`` 1, else every pool worker, through the pool's
@@ -492,7 +492,7 @@ def run_catalogue(
     """
     entries = [e if isinstance(e, CatalogueEntry) else CatalogueEntry(str(e)) for e in entries]
     if jobs is None or jobs < 1:
-        jobs = os.cpu_count() or 1
+        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     evaluate = functools.partial(
         evaluate_entry, max_order=max_order, ideal_cap=ideal_cap, inject_fault=inject_fault
     )
@@ -517,39 +517,32 @@ def run_catalogue(
         ({"spec": r["spec"], "reason": r["skipped"]} for r in results if r["skipped"]),
         key=lambda s: (s["spec"], s["reason"]),
     )
-    pair_records = [p for r in results for p in r["pairs"]]
-    pair_records.sort(key=lambda p: (p["verdict"].ring_spec, p["verdict"].ideal_members))
-
-    verdicts = [p["verdict"] for p in pair_records]
+    rows = sorted(
+        (p for r in results for p in r["pairs"]), key=lambda p: (p[0].ring_spec, p[0].ideal_members)
+    )
     checks: list[CheckResult] = []
-    for name in CHECK_NAMES:
+    for k, name in enumerate(CHECK_NAMES):
         applicable = 0
         failures: list[dict] = []
-        for p in pair_records:
-            outcome = p["checks"][name]
-            if outcome["applicable"]:
-                applicable += 1
-            if outcome["failure"] is not None:
-                failures.append(
-                    {
-                        "ring_spec": p["verdict"].ring_spec,
-                        "ideal_members": list(p["verdict"].ideal_members),
-                        "witness": outcome["failure"],
-                    }
-                )
-        checks.append(CheckResult(name, len(pair_records), applicable, failures))
+        for verdict, outcomes in rows:
+            ok, failure = outcomes[k]
+            applicable += bool(ok)
+            if failure is not None:
+                members = list(verdict.ideal_members)
+                failures.append({"ring_spec": verdict.ring_spec, "ideal_members": members, "witness": failure})
+        checks.append(CheckResult(name, len(rows), applicable, failures))
 
     failures_total = sum(len(c.failures) for c in checks)
     catalogue = {
         "description": description,
         "entries": len(entries),
-        "pairs": len(pair_records),
+        "pairs": len(rows),
         "skipped": skipped,
         "quotient_vnr_note": QUOTIENT_VNR_NOTE,
     }
     return VerificationReport(
         catalogue=catalogue,
         checks=checks,
-        verdicts=verdicts,
+        verdicts=[verdict for verdict, _ in rows],
         failures_total=failures_total,
     )

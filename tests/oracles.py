@@ -38,7 +38,6 @@ import numpy as np
 from zdglab import (
     CapExceededError,
     CheckResult,
-    ElementSet,
     FiniteRing,
     Ideal,
     PropertyVerdict,
@@ -62,14 +61,19 @@ from zdglab.specs import PolyqNode, ProdNode, ZnNode
 ISO_SEARCH_CAP = 12
 
 
-def members(s: ElementSet) -> frozenset[int]:
-    """The members of an element set, read off its mask."""
-    return frozenset(np.flatnonzero(s.mask).tolist())
+def members(s) -> frozenset[int]:
+    """The members of an ideal, read off its mask, or of a member tuple."""
+    return frozenset(np.flatnonzero(s.mask).tolist() if isinstance(s, Ideal) else s)
 
 
-def contains(s: ElementSet, x) -> bool:
-    """Membership of ``x``: an element index of the ring with its mask bit set."""
-    return isinstance(x, (int, np.integer)) and 0 <= x < s.ring.order and bool(s.mask[x])
+def contains(s, x) -> bool:
+    """Membership of ``x`` in an ideal or a member tuple: an element index
+    of the ring that is a member."""
+    if not isinstance(x, (int, np.integer)):
+        return False
+    if isinstance(s, Ideal):
+        return 0 <= x < s.ring.order and bool(s.mask[x])
+    return x in s
 
 
 def check_result(report: VerificationReport, name: str) -> CheckResult:

@@ -293,6 +293,23 @@ def test_verify_unreadable_catalogue(tmp_path, capsys):
     assert out == "" and err == f"error: {not_utf8}: not UTF-8 at byte offset 5\n"
 
 
+def test_verify_reads_a_catalogue_with_a_byte_order_mark(tmp_path, capsys):
+    lines = b"Zn:8 [4] [2]\nprod(Zn:2,Zn:4)\n"
+    reports = []
+    for name, data in (("plain.cat", lines), ("bom.cat", b"\xef\xbb\xbf" + lines)):
+        (tmp_path / name).write_bytes(data)
+        assert main(["verify", "--catalogue", str(tmp_path / name), "--quiet"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    plain, bom = reports
+    assert bom["catalogue"]["pairs"] == plain["catalogue"]["pairs"] == 2 + 5
+    assert bom["verdicts"] == plain["verdicts"]
+    bad = tmp_path / "bad.cat"
+    bad.write_bytes(b"\xef\xbb\xbfZn:8\n\xff\n")
+    assert main(["verify", "--catalogue", str(bad), "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {bad}: not UTF-8 at byte offset 8\n"
+
+
 def test_verify_bad_catalogue_line(tmp_path, capsys):
     cat = tmp_path / "cat.txt"
     cat.write_text("Zn:8\nbogus:3\n")

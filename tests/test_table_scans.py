@@ -68,9 +68,12 @@ def _assert_graph(g, expected):
 
 
 def _assert_ring_facts(r):
-    assert np.array_equal(zero_divisors(r).mask, scan_zero_divisors(r)), r.spec
+    zd, nil = scan_zero_divisors(r), scan_nilpotents(r)
+    assert np.array_equal(r.zero_divisor_mask, zd), r.spec
+    assert zero_divisors(r) == tuple(np.flatnonzero(zd).tolist()), r.spec
     assert np.array_equal(r.unit_mask, scan_units(r)), r.spec
-    assert np.array_equal(nilpotents(r).mask, scan_nilpotents(r)), r.spec
+    assert np.array_equal(r.power_array == r.zero, nil), r.spec
+    assert nilpotents(r) == tuple(np.flatnonzero(nil).tolist()), r.spec
     assert is_von_neumann_regular(r) == column_von_neumann_regular(r), r.spec
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import re
 
 import numpy as np
@@ -22,6 +23,7 @@ from zdglab import (
     parse_catalogue_text,
     run_catalogue,
 )
+from zdglab import rings
 from zdglab.verifier import (
     CHECKS,
     check_annihilator_agreement,
@@ -34,6 +36,7 @@ from zdglab.verifier import (
     check_nonradical_not_complemented,
     check_orthogonality_lifting,
     check_radical_equivalences,
+    classification_cases,
 )
 
 from oracles import check_result, edge_keys, square_zero_ring
@@ -293,6 +296,32 @@ def test_analyze_pair_builds_no_names_or_labels():
     a = analyze_pair(ring, generate_ideal(ring, [2]))
     assert not a.ideal.is_zero and a.gi.vertex_count and a.gq.vertex_count
     assert callable(ring._names) and callable(a.quotient._names)
+
+
+def test_classification_cases_do_not_apply_to_zero_or_prime_ideals():
+    for spec, gens in (("Zn:12", []), ("Zn:12", [3]), ("Zn:8", [2])):
+        a = pair(spec, gens)
+        assert classification_cases(a.verdict) is None, (spec, gens)
+        assert not_applicable(check_classification_cases, a), (spec, gens)
+    assert classification_cases(pair("Zn:8", [4]).verdict) == (True, False)
+    assert classification_cases(pair("Zn:12", [6]).verdict) == (False, True)
+
+
+def _evaluated_in_process_at_jobs_zero() -> bool:
+    """Whether a two-entry run at ``jobs=0`` evaluated its entries in this
+    process: only then does it hold a run memo when progress is reported."""
+    seen = []
+    run_catalogue(["Zn:8", "Zn:12"], jobs=0, progress=lambda msg: seen.append(rings._run_memo is not None))
+    return seen == [True, True]
+
+
+def test_jobs_zero_counts_only_the_processors_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _evaluated_in_process_at_jobs_zero()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _evaluated_in_process_at_jobs_zero()
 
 
 def test_verdicts_sorted_by_ring_spec_then_members():
