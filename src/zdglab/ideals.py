@@ -3,10 +3,16 @@
 An ideal is its membership mask, and ``Ideal`` is the only subset of a ring
 kept as one. Two facts are cached on it as length-order masks.
 ``Ideal.vertex_mask``, the vertex set of Gamma_I(R), is one scan of the
-multiplication table in row blocks; ``is_prime`` reads it, since Gamma_I(R)
-is empty exactly when I is prime, and ``graphs.gamma_ideal`` builds its
-graph on it. ``Ideal.radical_mask`` is one gather through the ring's cached
-``power_array``; ``radical`` and ``is_radical`` read it.
+pairs x <= y of the multiplication table in row blocks; ``is_prime`` reads
+it, since Gamma_I(R) is empty exactly when I is prime, and
+``graphs.gamma_ideal`` builds its graph on it. ``Ideal.radical_mask`` is
+one gather through the ring's cached ``power_array``; ``radical`` and
+``is_radical`` read it.
+
+The vertex scan and ``quotient_ring``, which reads each coset x + I off
+rows m of the addition table as m + x, rely on commutative tables: a ring
+axiom that ``rings.validate_ring_axioms`` decides, not a statement that
+``verify`` checks.
 """
 
 from __future__ import annotations
@@ -60,9 +66,14 @@ class Ideal:
         """Read-only mask of the vertices of Gamma_I(R): the x outside I
         with x*y in I for some y outside I, y = x included.
 
-        The rows of ``mul_table`` at the x outside I are gathered through
-        the membership mask in row blocks, each cast to intp and reduced
-        inside the block, so no order x order array is built.
+        x*y = y*x by commutativity of the table, a ring axiom that
+        ``rings.validate_ring_axioms`` checks, so only the pairs x <= y
+        outside I are scanned. The x outside I are taken in row blocks; a
+        block starting at x0 gathers ``mul_table[xs, x0:]`` through the
+        membership mask (cast to intp) and keeps the columns y outside I.
+        A row holding a product in I marks its x, and a column holding one
+        marks its y. No order x order array is built, and on a ring of
+        many blocks the gather reads about half the table.
         """
         r = self.ring
         outside = ~self.mask
@@ -70,7 +81,10 @@ class Ideal:
         hit = np.zeros(r.order, dtype=bool)
         for block in row_blocks(len(rows), r.order):
             xs = rows[block]
-            hit[xs] = (self.mask[r.mul_table[xs].astype(np.intp)] & outside).any(axis=1)
+            x0 = xs[0]
+            pairs = self.mask[r.mul_table[xs, x0:].astype(np.intp)] & outside[x0:]
+            hit[xs] |= pairs.any(axis=1)
+            hit[x0:] |= pairs.any(axis=0)
         hit.setflags(write=False)
         return hit
 
@@ -239,7 +253,9 @@ def quotient_ring(r: FiniteRing, i: Ideal) -> tuple[FiniteRing, np.ndarray]:
         cmap.setflags(write=False)
         return r, cmap
     mem = np.flatnonzero(i.mask)
-    reps = r.add_table[:, mem].min(axis=1)
+    # x + m = m + x by commutativity of +, so whole rows m give each coset's
+    # members column by column
+    reps = r.add_table.take(mem, axis=0).min(axis=0)
     rep_values = np.unique(reps)
     cmap = np.searchsorted(rep_values, reps).astype(np.intp)
     add_q = cmap[r.add_table.take(rep_values, axis=0).take(rep_values, axis=1)]

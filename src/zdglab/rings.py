@@ -17,6 +17,11 @@ power array only reads the diagonal), so no order x order temporary is
 built for them. What recurs within a ``verify`` run but belongs to no one
 object is kept in ``run_memo``.
 
+``is_von_neumann_regular`` tests x against row x*x of ``mul_table``, which
+is exact on a commutative and associative table. Those are ring axioms,
+which ``validate_ring_axioms`` decides and construction does not check,
+not statements that ``verify`` checks.
+
 Element names are for display only, and no predicate reads them. The
 builders hand ``FiniteRing`` a function that makes them, and the names are
 built on the first read of ``element_names``.
@@ -156,7 +161,8 @@ class FiniteRing:
             raise RingConsistencyError("operation tables must be square and equally sized")
         if add.dtype.kind not in "iu" or mul.dtype.kind not in "iu":
             raise RingConsistencyError(f"table entries must be integers, got {add.dtype} and {mul.dtype}")
-        if add.min() < 0 or add.max() >= n or mul.min() < 0 or mul.max() >= n:
+        # an unsigned table cannot hold a negative entry
+        if any((t.dtype.kind == "i" and t.min() < 0) or t.max() >= n for t in (add, mul)):
             raise RingConsistencyError("table entries must be element indices in 0..order-1")
         dtype = _table_dtype(n)
         add = np.ascontiguousarray(add, dtype=dtype)
@@ -261,7 +267,9 @@ def build_zn(n: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
     """The integers modulo ``n``, with element ``i`` named ``"i"``.
 
     Products i*j are formed in row blocks of the narrowest unsigned dtype
-    that holds (n-1)^2, reduced mod n and stored into the table.
+    that holds (n-1)^2, reduced mod n as p - (p // n) * n and stored into
+    the table: numpy divides by a scalar through a precomputed
+    multiply-and-shift, which it does not do for ``%``.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise InvalidOrderError(f"ring order must be an integer >= 2, got {n!r}")
@@ -271,9 +279,10 @@ def build_zn(n: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
     mul = np.empty((n, n), dtype=dtype)
     wide = np.min_scalar_type((n - 1) ** 2)
     idx = np.arange(n, dtype=wide)
+    modulus = wide.type(n)
     for rows in row_blocks(n, n):
         block = np.multiply.outer(idx[rows], idx)
-        block %= wide.type(n)
+        block -= block // modulus * modulus
         mul[rows] = block
     return FiniteRing(add, mul, lambda: map(str, range(n)), f"Zn:{n}", zero=0, one=1)
 
@@ -426,20 +435,19 @@ def is_reduced(r: FiniteRing) -> bool:
 def is_von_neumann_regular(r: FiniteRing) -> bool:
     """True when every x admits a y with x*y*x = x (exhaustive search).
 
-    Row x of ``mul_table`` read at its own entries gives x*(x*y) for every
-    y, which is (x*y)*x in a commutative ring. The rows are read in row
-    blocks, each one flat ``take`` through x*order + x*y, and the scan
-    returns at the first block holding a non-regular x.
+    (x*y)*x = x*(x*y) = (x*x)*y by commutativity and associativity of the
+    table, ring axioms that ``validate_ring_axioms`` checks, so x is
+    regular exactly when row x*x of ``mul_table`` holds x. The rows x*x are
+    copied in row blocks of x and compared with x, and the scan returns at
+    the first block holding a non-regular x.
     """
     n, mul = r.order, r.mul_table
-    cells = mul.ravel()
-    row_starts = np.arange(0, n * n, n, dtype=np.intp)
-    # compared in the table dtype: widening each block's products costs more
-    # than the gather
+    squares = mul.diagonal()
+    # compared in the table dtype: widening each block costs more than the
+    # comparison
     own = np.arange(n, dtype=mul.dtype)
     for rows in row_blocks(n, n):
-        products = cells.take(mul[rows] + row_starts[rows, None])
-        if not (products == own[rows, None]).any(axis=1).all():
+        if not (mul.take(squares[rows], axis=0) == own[rows, None]).any(axis=1).all():
             return False
     return True
 

@@ -17,7 +17,14 @@ nilpotents, primality, von Neumann regularity and both graphs come from
 the uncached per-call scans that the library's once-per-ring and
 once-per-ideal facts replaced: whole-table comparisons, the order x order
 product mask, and column reads. Von Neumann regularity also comes from the
-per-element row loop that the library's row-block scan replaced. Ideals are
+per-element row loop that the library's row-block scan replaced, and from
+the row-block scan that read each row x at its own entries through one flat
+``take``, which the library's test of x against row x*x replaced. The
+vertex set of Gamma_I(R) also comes from the scan of whole rows that the
+library's scan of the pairs x <= y replaced; quotient tables and coset maps
+from the column reads of the addition table that its row reads replaced;
+and the products of Z_n from the ``%`` fill that its floor division
+replaced. Ideals are
 also enumerated by the sum loop that forms every pairwise sum, which the
 library's containment skip replaced, and by that skip's pairwise loop,
 which the library's rounds of packed containment tests replaced; those
@@ -55,7 +62,7 @@ from zdglab import (
     zero_divisors,
 )
 from zdglab.ideals import _sum_mask, minimal_generators
-from zdglab.rings import _poly_name, table_mask
+from zdglab.rings import _poly_name, row_blocks, table_mask
 from zdglab.specs import PolyqNode, ProdNode, ZnNode
 
 ISO_SEARCH_CAP = 12
@@ -575,6 +582,59 @@ def loop_von_neumann_regular(r: FiniteRing) -> bool:
         if not (row.take(row) == x).any():
             return False
     return True
+
+
+def gather_von_neumann_regular(r: FiniteRing) -> bool:
+    """Every x has a y with x*(x*y) = x, row x read at its own entries
+    through one flat ``take`` of x*order + x*y per row block, stopping at
+    the first block holding a non-regular x."""
+    n, mul = r.order, r.mul_table
+    cells = mul.ravel()
+    row_starts = np.arange(0, n * n, n, dtype=np.intp)
+    own = np.arange(n, dtype=mul.dtype)
+    for rows in row_blocks(n, n):
+        products = cells.take(mul[rows] + row_starts[rows, None])
+        if not (products == own[rows, None]).any(axis=1).all():
+            return False
+    return True
+
+
+def full_row_vertex_mask(i: Ideal) -> np.ndarray:
+    """The vertex set of Gamma_I(R) as a mask: the whole row of every x
+    outside I gathered through the membership mask, in row blocks."""
+    r = i.ring
+    outside = ~i.mask
+    rows = np.flatnonzero(outside)
+    hit = np.zeros(r.order, dtype=bool)
+    for block in row_blocks(len(rows), r.order):
+        xs = rows[block]
+        hit[xs] = (i.mask[r.mul_table[xs].astype(np.intp)] & outside).any(axis=1)
+    return hit
+
+
+def column_quotient_tables(r: FiniteRing, i: Ideal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(add, mul, coset map) of R/I on least coset representatives, each
+    coset read off a column gather of the addition table at I's members."""
+    reps = r.add_table[:, np.flatnonzero(i.mask)].min(axis=1)
+    rep_values = np.unique(reps)
+    cmap = np.searchsorted(rep_values, reps).astype(np.intp)
+    add = cmap[r.add_table.take(rep_values, axis=0).take(rep_values, axis=1)]
+    mul = cmap[r.mul_table.take(rep_values, axis=0).take(rep_values, axis=1)]
+    return add, mul, cmap
+
+
+def remainder_zn_mul_table(n: int) -> np.ndarray:
+    """The multiplication table of Z_n in the table dtype, products formed
+    in row blocks of the narrowest unsigned dtype holding (n-1)^2 and
+    reduced with ``%``."""
+    mul = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
+    wide = np.min_scalar_type((n - 1) ** 2)
+    idx = np.arange(n, dtype=wide)
+    for rows in row_blocks(n, n):
+        block = np.multiply.outer(idx[rows], idx)
+        block %= wide.type(n)
+        mul[rows] = block
+    return mul
 
 
 def triple_scan_is_prime(i: Ideal) -> bool:

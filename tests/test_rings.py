@@ -312,6 +312,20 @@ def test_constructor_checks_range_before_narrowing():
     assert np.array_equal(narrowed.add_table, base.add_table)
 
 
+def test_constructor_rejects_out_of_range_entries_of_signed_and_unsigned_tables():
+    # a signed table is checked for negative entries, and every table for
+    # entries of n or more
+    base = build_zn(300)
+    negative = base.mul_table.astype(np.int64)
+    negative[5, 7] = negative[7, 5] = -1
+    too_large = base.add_table.copy()
+    assert too_large.dtype == np.uint16
+    too_large[5, 7] = too_large[7, 5] = 300
+    for add, mul in ((negative, base.mul_table), (base.add_table, negative), (too_large, base.mul_table), (base.add_table, too_large)):
+        with pytest.raises(RingConsistencyError, match="^table entries must be element indices"):
+            FiniteRing(add, mul, base.element_names, "bad:Zn:300", zero=0, one=1)
+
+
 def _zn_rows(n):
     """Rows of the int64 tables of Z_n, by % arithmetic."""
     i = np.arange(n, dtype=np.int64)

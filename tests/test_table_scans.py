@@ -1,6 +1,7 @@
-"""Table facts cached once per ring and once per ideal, the row-block
-von Neumann scan and the rounds of ``all_ideals``, against the per-call
-scans and loops in ``oracles.py`` that they replaced.
+"""Table facts cached once per ring and once per ideal, the von Neumann
+scan, the scan of the pairs x <= y behind the vertex sets, the quotient
+tables, the products of Z_n and the rounds of ``all_ideals``, against the
+per-call scans, fills and loops in ``oracles.py`` that they replaced.
 
 Covers every (ring, proper ideal) pair that ``verify`` analyzes on the
 default catalogue and on ``perfbench/scale.cat`` (Gamma(Z_4096) included),
@@ -12,6 +13,7 @@ import dataclasses
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from zdglab import (
     all_ideals,
@@ -34,12 +36,16 @@ from zdglab import rings
 from zdglab.rings import row_blocks, table_mask
 
 from oracles import (
+    column_quotient_tables,
     column_von_neumann_regular,
     dense_gamma,
     dense_gamma_ideal,
     every_sum_all_ideals,
+    full_row_vertex_mask,
+    gather_von_neumann_regular,
     loop_von_neumann_regular,
     pairwise_all_ideals,
+    remainder_zn_mul_table,
     scan_nilpotents,
     scan_units,
     scan_zero_divisors,
@@ -75,12 +81,17 @@ def _assert_ring_facts(r):
     assert np.array_equal(r.power_array == r.zero, nil), r.spec
     assert nilpotents(r) == tuple(np.flatnonzero(nil).tolist()), r.spec
     assert is_von_neumann_regular(r) == column_von_neumann_regular(r), r.spec
+    assert is_von_neumann_regular(r) == gather_von_neumann_regular(r), r.spec
 
 
 def _assert_pair(r, ideal):
     assert is_prime(ideal) == triple_scan_is_prime(ideal), (r.spec, ideal)
+    assert np.array_equal(ideal.vertex_mask, full_row_vertex_mask(ideal)), (r.spec, ideal)
     _assert_graph(gamma_ideal(r, ideal), dense_gamma_ideal(r, ideal))
-    q, _ = quotient_ring(r, ideal)
+    q, cmap = quotient_ring(r, ideal)
+    add, mul, expected_map = column_quotient_tables(r, ideal)
+    assert np.array_equal(cmap, expected_map), (r.spec, ideal)
+    assert np.array_equal(q.add_table, add) and np.array_equal(q.mul_table, mul), (r.spec, ideal)
     _assert_graph(gamma(q), dense_gamma(q))
     _assert_ring_facts(r)
     _assert_ring_facts(q)
@@ -107,6 +118,44 @@ def test_scans_agree_on_square_zero_rings():
         for ideal in all_ideals(r):
             if ideal.is_proper:
                 _assert_pair(r, ideal)
+
+
+def test_quotient_by_a_large_ideal_matches_the_column_reads():
+    r = build_zn(4096)
+    ideal = generate_ideal(r, [2])
+    q, cmap = quotient_ring(r, ideal)
+    add, mul, expected_map = column_quotient_tables(r, ideal)
+    assert q.order == 2
+    assert np.array_equal(cmap, expected_map)
+    assert np.array_equal(q.add_table, add) and np.array_equal(q.mul_table, mul)
+
+
+@pytest.mark.parametrize("cells", [1, 100, rings._BLOCK_CELLS])
+def test_pair_scan_matches_the_full_row_scan_at_every_block_size(monkeypatch, cells):
+    # one row a block, a few rows a block, and the real size: each block
+    # starting at x0 reads only the columns from x0 on
+    monkeypatch.setattr(rings, "_BLOCK_CELLS", cells)
+    rings_ = [build_ring(e.spec) for e in default_catalogue()]
+    rings_ += [square_zero_ring(k) for k in range(1, 6)]
+    for r in rings_:
+        for ideal in all_ideals(r):
+            assert np.array_equal(ideal.vertex_mask, full_row_vertex_mask(ideal)), (cells, r.spec, ideal)
+    f2 = _f2_power(8)  # Gamma(F_2^8): every element but zero and the identity is a vertex
+    zero = generate_ideal(f2, [])
+    assert np.array_equal(zero.vertex_mask, full_row_vertex_mask(zero))
+    assert np.count_nonzero(zero.vertex_mask) == 254
+    assert is_von_neumann_regular(f2) and gather_von_neumann_regular(f2)
+
+
+@pytest.mark.parametrize("n", [2, 255, 256, 257, 1155, 4096])
+def test_zn_products_by_floor_division_match_the_remainder(n):
+    # products in uint8 (n = 2), uint16 (255, 256) and uint32 (257 on);
+    # tables in uint8 up to 256 and uint16 beyond
+    mul = build_zn(n).mul_table
+    assert np.array_equal(mul, remainder_zn_mul_table(n))
+    i = np.arange(n, dtype=np.int64)
+    for lo in range(0, n, 256):  # row blocks keep the int64 products small
+        assert np.array_equal(mul[lo : lo + 256], np.multiply.outer(i[lo : lo + 256], i) % n), (n, lo)
 
 
 def test_containment_skip_keeps_ideals_and_generators():
