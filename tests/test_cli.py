@@ -62,6 +62,87 @@ def test_ideals_text(capsys):
     assert "6 ideals" in out
 
 
+# (generators, members, radical, prime) per ideal, in the listing's order
+IDEAL_GOLDENS = {
+    # {0,1,4,5} is R*5, so it lists its least generator 5, not its greedy
+    # generating sequence (1, 4)
+    "prod(Zn:4,Zn:2)": [
+        ((0,), (0,), False, False),
+        ((1,), (0, 1), False, False),
+        ((4,), (0, 4), True, False),
+        ((5,), (0, 1, 4, 5), True, True),
+        ((2,), (0, 2, 4, 6), True, True),
+        ((3,), tuple(range(8)), True, False),
+    ],
+    "prod(Zn:2,prod(Zn:2,Zn:2))": [
+        ((0,), (0,), True, False),
+        ((1,), (0, 1), True, False),
+        ((2,), (0, 2), True, False),
+        ((4,), (0, 4), True, False),
+        ((3,), (0, 1, 2, 3), True, True),
+        ((5,), (0, 1, 4, 5), True, True),
+        ((6,), (0, 2, 4, 6), True, True),
+        ((7,), tuple(range(8)), True, False),
+    ],
+    "quot(Zn:24;12)": [
+        ((0,), (0,), False, False),
+        ((6,), (0, 6), True, False),
+        ((4,), (0, 4, 8), False, False),
+        ((3,), (0, 3, 6, 9), True, True),
+        ((2,), (0, 2, 4, 6, 8, 10), True, True),
+        ((1,), tuple(range(12)), True, False),
+    ],
+}
+
+IDEAL_TEXT_GOLDENS = {
+    "prod(Zn:4,Zn:2)": (
+        "ring prod(Zn:4,Zn:2): 6 ideals\n"
+        "size    1  gens (0)  radical no   prime no   members {0}\n"
+        "size    2  gens (1)  radical no   prime no   members {0,1}\n"
+        "size    2  gens (4)  radical yes  prime no   members {0,4}\n"
+        "size    4  gens (5)  radical yes  prime yes  members {0,1,4,5}\n"
+        "size    4  gens (2)  radical yes  prime yes  members {0,2,4,6}\n"
+        "size    8  gens (3)  radical yes  prime no   members {0,1,2,3,4,5,6,7}\n"
+    ),
+    "prod(Zn:2,prod(Zn:2,Zn:2))": (
+        "ring prod(Zn:2,prod(Zn:2,Zn:2)): 8 ideals\n"
+        "size    1  gens (0)  radical yes  prime no   members {0}\n"
+        "size    2  gens (1)  radical yes  prime no   members {0,1}\n"
+        "size    2  gens (2)  radical yes  prime no   members {0,2}\n"
+        "size    2  gens (4)  radical yes  prime no   members {0,4}\n"
+        "size    4  gens (3)  radical yes  prime yes  members {0,1,2,3}\n"
+        "size    4  gens (5)  radical yes  prime yes  members {0,1,4,5}\n"
+        "size    4  gens (6)  radical yes  prime yes  members {0,2,4,6}\n"
+        "size    8  gens (7)  radical yes  prime no   members {0,1,2,3,4,5,6,7}\n"
+    ),
+    "quot(Zn:24;12)": (
+        "ring quot(Zn:24;12): 6 ideals\n"
+        "size    1  gens (0)  radical no   prime no   members {0}\n"
+        "size    2  gens (6)  radical yes  prime no   members {0,6}\n"
+        "size    3  gens (4)  radical no   prime no   members {0,4,8}\n"
+        "size    4  gens (3)  radical yes  prime yes  members {0,3,6,9}\n"
+        "size    6  gens (2)  radical yes  prime yes  members {0,2,4,6,8,10}\n"
+        "size   12  gens (1)  radical yes  prime no   members {0,1,2,3,4,5,6,7,8,9,10,11}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("spec", list(IDEAL_GOLDENS))
+def test_ideals_output_is_pinned(spec, fmt, capsys):
+    assert main(["ideals", spec, "--format", fmt]) == 0
+    if fmt == "text":
+        expected = IDEAL_TEXT_GOLDENS[spec]
+    else:
+        rows = [
+            {"generators": list(g), "members": list(m), "prime": p, "radical": rad, "size": len(m)}
+            for g, m, rad, p in IDEAL_GOLDENS[spec]
+        ]
+        obj = {"ideal_count": len(rows), "ideals": rows, "spec": spec}
+        expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == expected
+
+
 def test_ideals_cap_error(capsys):
     assert main(["ideals", "Zn:300"]) == 2
     assert "error:" in capsys.readouterr().err
