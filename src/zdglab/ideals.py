@@ -9,10 +9,15 @@ it, since Gamma_I(R) is empty exactly when I is prime, and
 one gather through the ring's cached ``power_array``; ``radical`` and
 ``is_radical`` read it.
 
-The vertex scan and ``quotient_ring``, which reads each coset x + I off
-rows m of the addition table as m + x, rely on commutative tables: a ring
-axiom that ``rings.validate_ring_axioms`` decides, not a statement that
-``verify`` checks.
+``all_ideals`` walks the ideals from the zero ideal by reverse search
+(Avis and Fukuda, 1996). An ideal K's greedy generators g1 < ... < gk
+(``minimal_generators``) are each the least member of K outside the sum J
+of the ones before; the sum of all but gk is K's parent. The children of J
+are the J + Rg with g > gk, g outside J and g the least member of J + Rg
+outside J. Their members below g lie in J, so their greedy generators are
+J's and then g: each ideal is reached once, along its greedy sequence, and
+nothing is deduplicated. A greedy g is the least generator of Rg (a smaller
+h with Rh = Rg lies in K outside J), so only least generators are tried.
 """
 
 from __future__ import annotations
@@ -164,32 +169,16 @@ def minimal_generators(r: FiniteRing, mask: np.ndarray) -> tuple[int, ...]:
     return _principal_sum(r, np.flatnonzero(mask).tolist())[1]
 
 
-def _incomparable(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """len(a) x len(b) boolean matrix of the pairs of rows of ``a`` and
-    ``b`` (packed by ``packed_words``) where neither set contains the other,
-    decided in row blocks of ``a``."""
-    out = np.empty((len(a), len(b)), dtype=bool)
-    for rows in row_blocks(len(a), len(b) * a.shape[1]):
-        x, y = a[rows, None, :], b[None, :, :]
-        out[rows] = (x & ~y).any(axis=2) & (y & ~x).any(axis=2)
-    return out
-
-
 def all_ideals(r: FiniteRing, *, max_order: int = DEFAULT_IDEAL_ENUMERATION_CAP) -> list[Ideal]:
-    """Every ideal of the ring, zero ideal and whole ring included.
+    """Every ideal of the ring, zero ideal and whole ring included, by the
+    walk in the module docstring; sorted by (size, member sequence).
 
-    Every ideal of a finite ring is the sum of the principal ideals of its
-    members, so the principal ideals closed under sums are all of them. The
-    principal ideals come from one flat scatter of the multiplication table
-    (row g of the matrix is the mask of Rg) and one ``row_classes`` sort of
-    its rows, packed into words once, and each keeps its least generator.
-    Then, round by round, each ideal first found in the previous round (the
-    principal ones in the first) is added to every principal ideal.
-    Containment of all those pairs is decided at once on the masks packed
-    into words, and only incomparable pairs are summed, since a contained
-    pair sums to an ideal already found. A new sum gets
-    ``minimal_generators`` and joins the next round; the rounds end when one
-    finds nothing new. Sorted by (size, member sequence).
+    One flat scatter of the multiplication table gives the principal-mask
+    matrix (row g is Rg), and one ``row_classes`` sort of its rows the least
+    generators, each of which a principal ideal keeps; other ideals keep
+    their greedy generators. A candidate g whose Rg has a member below g
+    outside J is dropped before any sum, and the zero ideal's children are
+    the Rg themselves.
     """
     if r.order > max_order:
         raise CapExceededError(f"ideal enumeration allows order <= {max_order}, ring has {r.order}")
@@ -198,25 +187,23 @@ def all_ideals(r: FiniteRing, *, max_order: int = DEFAULT_IDEAL_ENUMERATION_CAP)
     flat += np.arange(0, n * n, n)[:, None]
     principal = np.zeros((n, n), dtype=bool)
     np.put(principal, flat, True)
-    words = packed_words(principal)
-    first = row_classes(words)[0]
-    base, base_words = principal[first], words[first]
-    found = {m.tobytes(): (m, (g,)) for g, m in zip(first.tolist(), base)}
-    fresh, fresh_words = base, base_words
-    while len(fresh):
-        apart = _incomparable(fresh_words, base_words)
-        if fresh is base:
-            apart = np.triu(apart, 1)  # a sum of two principal ideals, each pair once
-        new = []
-        for i, j in zip(*np.nonzero(apart)):
-            s = _sum_mask(r, fresh[i], base[j])
-            key = s.tobytes()
-            if key not in found:
-                found[key] = (s, minimal_generators(r, s))
-                new.append(s)
-        fresh = np.array(new, dtype=bool).reshape(len(new), n)
-        fresh_words = packed_words(fresh)
-    ideals = [Ideal(r, m, gens) for m, gens in found.values()]
+    least = np.sort(row_classes(packed_words(principal))[0])
+    named = {principal[g].tobytes(): (g,) for g in least.tolist()}
+    ideals = []
+    walk = [(principal[r.zero], ())]
+    while walk:
+        mask, gens = walk.pop()
+        ideals.append(Ideal(r, mask, named.get(mask.tobytes(), gens)))
+        after = gens[-1] if gens else -1
+        cand = least[(least > after) & ~mask[least]]
+        cand = cand[(principal[cand] & ~mask).argmax(axis=1) == cand]
+        for g in cand.tolist():
+            child = principal[g]
+            if gens:
+                child = _sum_mask(r, child, mask)  # rows from Rg, usually the smaller side
+                if (child & ~mask).argmax() != g:
+                    continue
+            walk.append((child, gens + (g,)))
     ideals.sort(key=lambda i: (len(i), i.sorted_members()))
     return ideals
 

@@ -13,7 +13,8 @@ Grammar (whitespace between tokens is ignored):
 ``polyq`` coefficients are constant-term first and must already be reduced
 mod p with leading coefficient 1. ``quot`` generators are element indices
 of the base ring (products index row-major, polynomial quotients by base-p
-digits). A ``polyq`` coefficient list ends at a comma followed by a spec,
+digits); a repeated one is dropped, first occurrence kept, so the parsed
+spec is the one the built ring reports. A ``polyq`` coefficient list ends at a comma followed by a spec,
 so ``prod(polyq:2:1,1,Zn:3)`` is a product. INT is a run of at most nine ASCII
 digits 0-9, so no sign is accepted. Error positions are character offsets
 into the original string.
@@ -172,7 +173,7 @@ class _Parser:
             self.expect(";")
             gens = self.int_list()
             self.expect(")")
-            return QuotNode(base, tuple(g for g, _ in gens))
+            return QuotNode(base, tuple(dict.fromkeys(g for g, _ in gens)))
         raise SpecParseError("expected a ring spec: Zn:<n>, prod(...), polyq:..., or quot(...)", self.pos)
 
 

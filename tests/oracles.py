@@ -331,6 +331,19 @@ def square_zero_ring(k: int) -> FiniteRing:
     return FiniteRing(add, mul, [str(x) for x in range(n)], f"square-zero:{k}", zero=0, one=1)
 
 
+def relabelled_ring(r: FiniteRing, seed: int = 0) -> FiniteRing:
+    """``r`` with element x renamed p[x] for a seeded permutation p of its
+    indices, which must move zero and one off indices 0 and 1: no spec-built
+    ring has its zero anywhere but 0."""
+    p = np.random.default_rng(seed).permutation(r.order)
+    assert p[r.zero] > 1 and p[r.one] > 1, (r.spec, seed)
+    inv = np.argsort(p)  # new index -> old index
+    add = p[r.add_table.astype(np.intp)[np.ix_(inv, inv)]]
+    mul = p[r.mul_table.astype(np.intp)[np.ix_(inv, inv)]]
+    names = [str(x) for x in range(r.order)]
+    return FiniteRing(add, mul, names, f"relabelled:{r.spec}", zero=int(p[r.zero]), one=int(p[r.one]))
+
+
 # --- set-based ideals: frozenset members closed by an additive fixpoint ------
 
 

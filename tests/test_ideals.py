@@ -26,6 +26,7 @@ from oracles import (
     contains,
     is_isomorphic_small,
     members,
+    relabelled_ring,
     set_all_ideals,
     set_generate_ideal,
     set_is_prime,
@@ -139,6 +140,28 @@ def test_mask_ideals_match_set_oracle_beyond_principal_ideal_rings():
     for k in range(2, 6):
         ideals = matches_set_oracle(square_zero_ring(k))
         assert max(len(i.generators) for i in ideals) == k
+
+
+def test_mask_ideals_match_set_oracle_with_zero_and_one_moved():
+    rings = [build_ring("prod(Zn:4,Zn:2)"), build_zn(12), square_zero_ring(3)]
+    for r in map(relabelled_ring, rings):
+        assert r.zero > 1 and r.one > 1
+        ideals = matches_set_oracle(r)
+        assert ideals[0].generators == (r.zero,) and len(ideals[-1]) == r.order
+    assert [len(all_ideals(relabelled_ring(r))) for r in rings] == [6, 6, 17]
+
+
+def test_all_ideals_on_f2_to_the_tenth():
+    spec = "Zn:2"
+    for _ in range(9):
+        spec = f"prod(Zn:2,{spec})"
+    r = build_ring(spec)
+    ideals = all_ideals(r, max_order=1024)
+    assert len(ideals) == 1024
+    for i in ideals:
+        assert len(i.generators) == 1
+        assert np.array_equal(generate_ideal(r, i.generators).mask, i.mask)
+    assert sorted(i.generators[0] for i in ideals) == list(range(1024))
 
 
 def test_all_ideals_match_brute_force_enumeration():

@@ -27,6 +27,7 @@ ROUND_TRIP_CORPUS = [
     "quot(Zn:12;6)",
     "quot(prod(Zn:4,Zn:2);4,1)",
     "quot(polyq:2:0,0,1;2)",
+    "quot(Zn:12;6,6)",
 ]
 
 

@@ -1,6 +1,6 @@
 """Table facts cached once per ring and once per ideal, the von Neumann
 scan, the scan of the pairs x <= y behind the vertex sets, the quotient
-tables, the products of Z_n and the rounds of ``all_ideals``, against the
+tables, the products of Z_n and the walk of ``all_ideals``, against the
 per-call scans, fills and loops in ``oracles.py`` that they replaced.
 
 Covers every (ring, proper ideal) pair that ``verify`` analyzes on the
