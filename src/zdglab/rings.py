@@ -467,15 +467,41 @@ def total_quotient_ring(r: FiniteRing) -> FiniteRing:
     return r
 
 
+def _close_under(reached: np.ndarray, f: np.ndarray) -> None:
+    """Grow the mask ``reached`` to the least superset closed under the map
+    ``f`` (an intp array), by pointer doubling: round j adds the image of
+    the set under f^(2^j), so after j rounds it holds f^i(R) for every
+    i < 2^j. A round that adds nothing shows f^i(R) inside for every
+    i < 2^(j+1), so the set is closed under f; about log2(order) rounds
+    reach the closure."""
+    step = f
+    while True:
+        image = step[np.flatnonzero(reached)]
+        if reached[image].all():
+            return
+        reached[image] = True
+        step = step[step]
+
+
 def _additive_generators(r: FiniteRing) -> list[int]:
     """Ascending nonzero g_1 < ... < g_k such that every element is a
     left-combed sum (...((g_a + g_b) + g_c) ...) of them, read off the
     addition table alone.
 
-    Each round takes the least nonzero element not yet reached and closes
-    the reached set under s -> s + g for every g taken so far. Zero is
-    reached as a sum too: once every nonzero x is, so is its inverse y, and
-    y + x = 0. That needs + commutative with inverses, so check those first.
+    Each round takes the least nonzero element g not yet reached; the
+    reached set is then the least set holding the generators taken so far
+    that is closed under s -> s + h for each of them. It is unique, so it
+    may be grown in any order. The set before g was closed under the maps
+    before it, so ``_close_under`` first closes it, with g, under the map
+    ``add_table[:, g]``, in O(log n) gathers of length n. Then the elements
+    it added, and each element added after them, are sent through every
+    generator's map at once, until none is new. On a genuine ring that
+    last step adds nothing (the set is the subgroup the generators span),
+    so the search costs O(k * n * log n), and O(k * n * log n + n^2) on any
+    table, since each element goes through that step once and each round
+    of it but the last adds an element. Zero is reached as a sum too: once every nonzero
+    x is, so is its inverse y, and y + x = 0. That needs + commutative with
+    inverses, so check those first.
     """
     A = r.add_table
     nonzero = np.arange(r.order) != r.zero
@@ -483,12 +509,15 @@ def _additive_generators(r: FiniteRing) -> list[int]:
     gens: list[int] = []
     while not reached.all():
         g = int(np.flatnonzero(nonzero & ~reached)[0])
-        fresh = np.append(A[reached, g], g)
         gens.append(g)
-        while fresh.size:
-            fresh = np.unique(fresh[~reached[fresh]])
-            reached[fresh] = True
-            fresh = A[np.ix_(fresh, gens)].ravel()
+        before = reached.copy()
+        reached[g] = True
+        _close_under(reached, A[:, g].astype(np.intp))
+        fresh = np.flatnonzero(reached & ~before)
+        while fresh.size:  # the set before g was closed under the old maps
+            before = reached.copy()
+            reached[A[np.ix_(fresh, gens)].ravel()] = True
+            fresh = np.flatnonzero(reached & ~before)
     return gens
 
 
@@ -506,42 +535,61 @@ def validate_ring_axioms(r: FiniteRing) -> None:
     generators, so each identity then holds everywhere. That costs O(n^2)
     per generator, O(n^2 * k) in all, with k <= log2(n) for a genuine ring.
 
-    Raises RingConsistencyError naming the broken axiom and, for the three
-    identities, the first failing (x, g, y) in row-major order.
+    Every O(n^2) pass reads the tables in ``row_blocks`` of x and stops at
+    the first block that fails, so the extra memory is O(block) cells,
+    whatever k is. Commutativity compares each block of the upper triangle
+    with its transpose. Each identity loops over blocks outside and
+    generators inside; its right side xg + xy is one flat gather from
+    ``add_table`` at xg * n + xy. The rows A[g] and M[g] stay in the table
+    dtype: ``take`` casts such an index once per call, no slower than a
+    cast kept per generator, which would hold 16 * k * n bytes, and a table
+    that is not a ring can have k near n.
+
+    Raises RingConsistencyError naming the broken axiom: for commutativity
+    the first failing (x, y) in row-major order, and for the three
+    identities the failing (x, g, y) with the least x, then the first
+    generator g, then the least y.
     """
     n, A, M = r.order, r.add_table, r.mul_table
     idx = np.arange(n, dtype=np.intp)
-    if not (A == A.T).all():
-        i, j = np.argwhere(A != A.T)[0]
-        raise RingConsistencyError(f"addition not commutative at ({i},{j})")
-    if not (M == M.T).all():
-        i, j = np.argwhere(M != M.T)[0]
-        raise RingConsistencyError(f"multiplication not commutative at ({i},{j})")
+    for T, name in ((A, "addition"), (M, "multiplication")):
+        # the least asymmetric row has no asymmetric cell left of the diagonal
+        for rows in row_blocks(n, n):
+            bad = T[rows, rows.start :] != T[rows.start :, rows].T
+            if bad.any():
+                x, y = divmod(int(bad.argmax()), bad.shape[1])
+                raise RingConsistencyError(f"{name} not commutative at ({rows.start + x},{rows.start + y})")
     if not (A[r.zero] == idx).all():
         raise RingConsistencyError("zero is not an additive identity")
     if not (M[r.one] == idx).all():
         raise RingConsistencyError("one is not a multiplicative identity")
-    if not (A == r.zero).any(axis=1).all():
-        x = int(np.flatnonzero(~(A == r.zero).any(axis=1))[0])
-        raise RingConsistencyError(f"element {x} has no additive inverse")
+    for rows in row_blocks(n, n):
+        inverse = (A[rows] == r.zero).any(axis=1)
+        if not inverse.all():
+            raise RingConsistencyError(f"element {rows.start + int(inverse.argmin())} has no additive inverse")
 
     # Row g of a commutative table is also its column g, so each side is a
-    # gather of whole rows or columns: T[T[g]][x, y] = (xg)y, T[:, T[g]] is
-    # x(gy), and row x of A[M[g]] indexed by row x of M is xg + xy.
+    # gather of rows or columns: in block X, T[T[g][X]] is (gx)y for rows x
+    # of X, T[X][:, T[g]] is x(gy), and xg + xy is read at xg * n + xy.
     gens = _additive_generators(r)
+    cells = A.ravel()
     identities = (
-        ("addition not associative", lambda g: A[A[g]] != np.take(A, A[g], axis=1)),
-        ("distributivity fails", lambda g: np.take(M, A[g], axis=1) != np.take_along_axis(A[M[g]], M, 1)),
-        ("multiplication not associative", lambda g: M[M[g]] != np.take(M, M[g], axis=1)),
+        ("addition not associative", lambda X, g: A.take(A[g, X], axis=0) != A[X].take(A[g], axis=1)),
+        (
+            "distributivity fails",
+            lambda X, g: M[X].take(A[g], axis=1) != cells[M[g, X, None].astype(np.intp) * n + M[X]],
+        ),
+        ("multiplication not associative", lambda X, g: M.take(M[g, X], axis=0) != M[X].take(M[g], axis=1)),
     )
     for label, failing in identities:
-        witness = None
-        for g in gens:
-            bad = failing(g)
-            if bad.any():
-                x, y = divmod(int(bad.argmax()), n)
-                if witness is None or x < witness[0]:
-                    witness = (x, g, y)
-        if witness is not None:
-            x, g, y = witness
-            raise RingConsistencyError(f"{label} at ({x},{g},{y})")
+        for X in row_blocks(n, n):
+            witness = None
+            for g in gens:
+                bad = failing(X, g)
+                if bad.any():
+                    x, y = divmod(int(bad.argmax()), n)
+                    if witness is None or x < witness[0]:
+                        witness = (x, g, y)
+            if witness is not None:
+                x, g, y = witness
+                raise RingConsistencyError(f"{label} at ({X.start + x},{g},{y})")

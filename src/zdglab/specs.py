@@ -13,9 +13,11 @@ Grammar (whitespace between tokens is ignored):
 ``polyq`` coefficients are constant-term first and must already be reduced
 mod p with leading coefficient 1. ``quot`` generators are element indices
 of the base ring (products index row-major, polynomial quotients by base-p
-digits); a repeated one is dropped, first occurrence kept, so the parsed
-spec is the one the built ring reports. A ``polyq`` coefficient list ends
-at a comma followed by a spec, so ``prod(polyq:2:1,1,Zn:3)`` is a product.
+digits); a repeated one is dropped, first occurrence kept, and a ``quot``
+whose only generator is 0, the zero element of every spec-built ring,
+parses as its base, so the parsed spec is the one the built ring reports.
+A ``polyq`` coefficient list ends at a comma followed by a spec, so
+``prod(polyq:2:1,1,Zn:3)`` is a product.
 INT is a run of at most nine ASCII digits 0-9, so no sign is accepted.
 Error positions are character offsets into the original string.
 """
@@ -171,9 +173,10 @@ class _Parser:
         if self.literal("quot("):
             base = self.spec()
             self.expect(";")
-            gens = self.int_list()
+            gens = tuple(dict.fromkeys(g for g, _ in self.int_list()))
             self.expect(")")
-            return QuotNode(base, tuple(dict.fromkeys(g for g, _ in gens)))
+            # zero is element 0 of every spec-built ring, and R/{0} is R
+            return base if gens == (0,) else QuotNode(base, gens)
         raise SpecParseError("expected a ring spec: Zn:<n>, prod(...), polyq:..., or quot(...)", self.pos)
 
 

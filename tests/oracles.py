@@ -8,7 +8,9 @@ quotient tables come from the digit convolution that the library's
 Horner-rule builder replaced, and from that builder's row-by-row Horner
 loop on int64 tables, which its per-digit-level fill replaced.
 Ring axioms are checked by the O(n^3) scan over every triple that the
-library's generator-based validator replaced. Orthogonality comes from the
+library's generator-based validator replaced, and by that validator on
+whole-table temporaries with its breadth-first generator search, which the
+library's row-block scans and pointer-doubling closure replaced. Orthogonality comes from the
 full n x n common-neighbor product, and from the one-row-per-class float32
 product that the library's bit-packed test on the class graph replaced;
 classes of equal rows come from ``np.unique`` over unpacked boolean rows,
@@ -554,6 +556,66 @@ def cubic_validate_ring_axioms(r: FiniteRing) -> None:
         if not (lhs == rhs).all():
             i, b, c = np.argwhere(lhs != rhs)[0]
             raise RingConsistencyError(f"distributivity fails at ({lo + i},{b},{c})")
+
+
+def bfs_additive_generators(r: FiniteRing) -> list[int]:
+    """The greedy additive generators found by a breadth-first search: each
+    round takes the least nonzero element not yet reached and closes the
+    reached set under s -> s + g for every g taken so far, one level of
+    sums at a time."""
+    A = r.add_table
+    nonzero = np.arange(r.order) != r.zero
+    reached = np.zeros(r.order, dtype=bool)
+    gens: list[int] = []
+    while not reached.all():
+        g = int(np.flatnonzero(nonzero & ~reached)[0])
+        fresh = np.append(A[reached, g], g)
+        gens.append(g)
+        while fresh.size:
+            fresh = np.unique(fresh[~reached[fresh]])
+            reached[fresh] = True
+            fresh = A[np.ix_(fresh, gens)].ravel()
+    return gens
+
+
+def whole_table_validate_ring_axioms(r: FiniteRing) -> None:
+    """The generator-based validator on whole-table temporaries: each check
+    compares order x order arrays at once, the three identities one
+    generator at a time over every x, with the generators of
+    ``bfs_additive_generators``."""
+    n, A, M = r.order, r.add_table, r.mul_table
+    idx = np.arange(n, dtype=np.intp)
+    if not (A == A.T).all():
+        i, j = np.argwhere(A != A.T)[0]
+        raise RingConsistencyError(f"addition not commutative at ({i},{j})")
+    if not (M == M.T).all():
+        i, j = np.argwhere(M != M.T)[0]
+        raise RingConsistencyError(f"multiplication not commutative at ({i},{j})")
+    if not (A[r.zero] == idx).all():
+        raise RingConsistencyError("zero is not an additive identity")
+    if not (M[r.one] == idx).all():
+        raise RingConsistencyError("one is not a multiplicative identity")
+    if not (A == r.zero).any(axis=1).all():
+        x = int(np.flatnonzero(~(A == r.zero).any(axis=1))[0])
+        raise RingConsistencyError(f"element {x} has no additive inverse")
+
+    gens = bfs_additive_generators(r)
+    identities = (
+        ("addition not associative", lambda g: A[A[g]] != np.take(A, A[g], axis=1)),
+        ("distributivity fails", lambda g: np.take(M, A[g], axis=1) != np.take_along_axis(A[M[g]], M, 1)),
+        ("multiplication not associative", lambda g: M[M[g]] != np.take(M, M[g], axis=1)),
+    )
+    for label, failing in identities:
+        witness = None
+        for g in gens:
+            bad = failing(g)
+            if bad.any():
+                x, y = divmod(int(bad.argmax()), n)
+                if witness is None or x < witness[0]:
+                    witness = (x, g, y)
+        if witness is not None:
+            x, g, y = witness
+            raise RingConsistencyError(f"{label} at ({x},{g},{y})")
 
 
 # --- per-call table scans, each over the whole order x order table ------------

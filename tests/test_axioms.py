@@ -1,10 +1,12 @@
 """Ring-axiom validation: the generator-based validator against the O(n^3)
-scan over every triple in ``oracles.py``, its witnesses, and rings too large
-for the scan.
+scan over every triple and against its whole-table predecessor in
+``oracles.py``, the generator search against its breadth-first
+predecessor, its witnesses, its memory, and rings too large for the scan.
 """
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from zdglab import FiniteRing, RingConsistencyError, build_ring, default_catalogue, validate_ring_axioms
 from zdglab.rings import _additive_generators
 
-from oracles import cubic_validate_ring_axioms
+from oracles import bfs_additive_generators, cubic_validate_ring_axioms, whole_table_validate_ring_axioms
 
 WITNESS = re.compile(
     r"^(addition not associative|multiplication not associative|distributivity fails) at \((\d+),(\d+),(\d+)\)$"
@@ -25,6 +27,23 @@ def verdict(validate, ring) -> bool:
     except RingConsistencyError:
         return False
     return True
+
+
+def outcome(fn, ring):
+    """What ``fn(ring)`` returns, or the type and message of what it raises."""
+    try:
+        return fn(ring)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def traced(fn, ring):
+    """``outcome(fn, ring)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return outcome(fn, ring), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def triple_fails(ring: FiniteRing, message: str) -> bool:
@@ -94,9 +113,51 @@ def test_validators_agree_on_single_cell_corruptions():
         with pytest.raises(RingConsistencyError) as caught:
             validate_ring_axioms(bad)
         message = str(caught.value)
+        assert outcome(whole_table_validate_ring_axioms, bad) == (RingConsistencyError, message), bad.spec
+        assert outcome(_additive_generators, bad) == outcome(bfs_additive_generators, bad), bad.spec
         if WITNESS.match(message):
             assert triple_fails(bad, message), (bad.spec, message)
     assert min(hit_zero_mul_row, hit_generator_row, unmirrored) >= 200
+
+
+def test_generators_match_breadth_first_search():
+    rings = [build_ring(e.spec) for e in default_catalogue()]
+    rings += [build_ring(spec) for spec in ("polyq:2:1,0,0,0,0,0,0,0,0,0,1", "Zn:1024", "prod(Zn:16,Zn:256)")]
+    for ring in rings:
+        assert _additive_generators(ring) == bfs_additive_generators(ring), ring.spec
+    assert _additive_generators(rings[-3]) == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]  # F_2^10
+    assert _additive_generators(rings[-1]) == [1, 256]
+
+
+@pytest.mark.parametrize("table", ["add", "mul"])
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_witness_in_a_later_row_block(table, mirrored):
+    # Zn:512 is scanned in blocks of 128 rows, and every failure here has x >= 128
+    bad = with_cell(build_ring("Zn:512"), table, 400, 300, 5, mirrored=mirrored)
+    message = outcome(validate_ring_axioms, bad)
+    assert message == outcome(whole_table_validate_ring_axioms, bad)
+    assert int(re.search(r"\((\d+),", message[1]).group(1)) >= 128, message
+
+
+@pytest.mark.parametrize("spec", ["Zn:1024", "prod(Zn:32,Zn:64)"])
+def test_validation_holds_no_table_sized_temporary(spec):
+    ring = build_ring(spec)
+    result, peak = traced(validate_ring_axioms, ring)
+    assert result is None
+    assert peak < ring.add_table.nbytes, (spec, peak)
+
+
+def test_table_with_a_generator_per_element():
+    # s + t = 0 for all nonzero s, t: commutative, with identity and inverses,
+    # but every nonzero element is its own greedy generator
+    n = 512
+    add = np.zeros((n, n), dtype=np.intp)
+    add[0] = add[:, 0] = np.arange(n)
+    bad = FiniteRing(add, build_ring(f"Zn:{n}").mul_table, [str(x) for x in range(n)], "k=n-1", 0, 1)
+    assert _additive_generators(bad) == bfs_additive_generators(bad) == list(range(1, n))
+    message, peak = traced(validate_ring_axioms, bad)
+    assert message == (RingConsistencyError, "addition not associative at (1,1,2)")
+    assert peak < 1 << 20  # one block's temporaries, not a row per generator
 
 
 def test_witness_of_additive_associativity():

@@ -1,4 +1,8 @@
-"""The package's public surface: ``zdglab.__all__`` and ``from zdglab import *``."""
+"""The package's public surface: ``zdglab.__all__`` and ``from zdglab import *``,
+and that nothing else in ``src/zdglab`` is defined without a caller there."""
+
+import ast
+import pathlib
 
 import zdglab
 
@@ -9,3 +13,25 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from zdglab import *", namespace)
     assert set(zdglab.__all__) <= set(namespace)
+
+
+def test_every_top_level_definition_has_a_caller_or_is_exported():
+    # a name counts as used when some code in src/ outside its own
+    # definition reads it, as a name or an attribute; imports do not count
+    src = pathlib.Path(zdglab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    reads: dict[str, set[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                reads.setdefault(getattr(node, "id", None) or node.attr, set()).add(id(node))
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in zdglab.__all__
+        and reads.get(node.name, set()) <= {id(inner) for inner in ast.walk(node)}
+    ]
+    assert "rings.py" in trees
+    assert unused == []

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zdglab import (
+    CapExceededError,
+    ImproperIdealError,
+    InvalidElementError,
     SpecParseError,
     build_ring,
     format_spec,
@@ -39,13 +42,25 @@ SPECS = st.recursive(
 FILTERS = st.lists(st.lists(st.integers(0, 50), max_size=3).map(tuple), max_size=4)
 
 
+# trees whose rings are small enough to build, with quot generators that
+# are often in range and often zero
+SMALL_SPECS = st.recursive(
+    st.builds(ZnNode, st.integers(2, 12)) | st.sampled_from([2, 3]).flatmap(_polyq),
+    lambda inner: st.builds(ProdNode, inner, inner)
+    | st.builds(QuotNode, inner, st.lists(st.integers(0, 7), min_size=1, max_size=2).map(tuple)),
+    max_leaves=4,
+)
+
+
 def _canonical(node):
     """The drawn tree as the parser returns it: a repeated quot generator
-    is dropped, first occurrence kept."""
+    is dropped, first occurrence kept, and a quot whose only generator left
+    is 0 is its base."""
     if isinstance(node, ProdNode):
         return ProdNode(_canonical(node.left), _canonical(node.right))
     if isinstance(node, QuotNode):
-        return QuotNode(_canonical(node.base), tuple(dict.fromkeys(node.generators)))
+        base, gens = _canonical(node.base), tuple(dict.fromkeys(node.generators))
+        return base if gens == (0,) else QuotNode(base, gens)
     return node
 
 
@@ -61,6 +76,18 @@ def test_catalogue_line_round_trip(node, filters, data):
     expected = tuple(dict.fromkeys(filters)) if filters else None
     assert parse_catalogue_line(text) == (_canonical(node), expected)
     assert parse_ring_spec(format_spec(node)) == _canonical(node)
+
+
+@GRAMMAR
+@given(SMALL_SPECS)
+def test_built_ring_has_zero_at_0_and_reports_the_parsed_spec(node):
+    # zero at index 0 is what lets the parser read quot(R;0) as R
+    try:
+        ring = build_ring(node, max_order=64)
+    except (CapExceededError, ImproperIdealError, InvalidElementError):
+        return
+    assert ring.zero == 0
+    assert ring.spec == format_spec(parse_ring_spec(format_spec(node)))
 
 
 @GRAMMAR

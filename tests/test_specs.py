@@ -113,3 +113,7 @@ def test_ring_spec_field_is_canonical():
 def test_quotient_by_zero_ideal_collapses_to_base_spec():
     # R/{0} is R itself, so the built ring keeps the base spec
     assert build_ring("quot(Zn:12;0)").spec == "Zn:12"
+    # and the parser spells such a spec as its base, so it has one spelling
+    assert parse_ring_spec("quot(Zn:12;0,0)") == ZnNode(12)
+    assert format_spec(parse_ring_spec("quot(quot(Zn:24;12);0)")) == "quot(Zn:24;12)"
+    assert format_spec(parse_ring_spec("quot(Zn:12;0,6)")) == build_ring("quot(Zn:12;0,6)").spec == "quot(Zn:12;0,6)"

@@ -351,6 +351,13 @@ def test_cap_overruns_are_recorded_not_fatal():
     assert report.failures_total == 0
 
 
+def test_quotient_by_zero_has_one_spelling_evaluated_or_skipped():
+    entries = parse_catalogue_text("quot(Zn:6;0)\nquot(quot(Zn:24;12);0,0)\n")
+    report = run_catalogue(entries, description="d", max_order=8)
+    assert {v.ring_spec for v in report.verdicts} == {"Zn:6"}
+    assert [s["spec"] for s in report.catalogue["skipped"]] == ["quot(Zn:24;12)"]
+
+
 def test_improper_filter_skips_entry():
     report = run_catalogue([CatalogueEntry("Zn:8", ((1,),))], description="d")
     assert len(report.catalogue["skipped"]) == 1
