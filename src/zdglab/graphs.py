@@ -99,18 +99,22 @@ def _lone_classes(adj: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 
 class SimpleGraph:
-    """Undirected loop-free graph: ascending integer vertex keys and ``adj``,
-    the read-only symmetric boolean adjacency matrix in that order. Ascending
-    keys make every exported artifact byte-deterministic. Immutable after
-    construction. An ``adj`` that is not square over the vertices, not
-    symmetric or has a loop raises ``ValueError``: the class-graph
-    predicates are exact only on such a matrix. A writeable or
-    non-contiguous ``adj`` is copied; a read-only C-contiguous one is kept.
+    """Undirected loop-free graph: strictly ascending integer vertex keys and
+    ``adj``, the read-only symmetric boolean adjacency matrix in that order.
+    Ascending keys make every exported artifact byte-deterministic, and
+    distinct keys give each key one position. Immutable after construction.
+    Keys that are not strictly ascending raise ``ValueError``, as does an
+    ``adj`` that is not square over the vertices, not symmetric or has a
+    loop: the class-graph predicates are exact only on such a matrix. A
+    writeable or non-contiguous ``adj`` is copied; a read-only C-contiguous
+    one is kept.
     """
 
     def __init__(self, vertices: Sequence[int], adj: np.ndarray, name: str):
         self.name = str(name)
         self.vertices = tuple(vertices)
+        if list(self.vertices) != sorted(set(self.vertices)):
+            raise ValueError("vertex keys must be strictly ascending")
         adj = np.asarray(adj, dtype=bool)
         if adj.flags.writeable or not adj.flags.c_contiguous:
             adj = adj.copy()

@@ -19,6 +19,12 @@ J's and then g: each ideal is reached once, along its greedy sequence, and
 nothing is deduplicated. A greedy g is the least generator of Rg (a smaller
 h with Rh = Rg lies in K outside J), so only least generators are tried.
 
+``quotient_ring`` names each coset by its least member, so x represents
+x + I exactly when x is that member. A running count of the representatives
+numbers the cosets, with no sort or search, and both quotient tables are
+gathered through it in the quotient's table dtype. Its element -> coset map
+is the only bridge from R to R/I in ``verify``.
+
 The vertex scan and ``quotient_ring``, which reads each coset x + I off
 rows m of the addition table as m + x, rely on commutative tables: a ring
 axiom that ``rings.validate_ring_axioms`` decides, not a statement that
@@ -34,7 +40,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapExceededError, ImproperIdealError, InvalidElementError
-from .rings import FiniteRing, packed_words, row_blocks, row_classes
+from .rings import FiniteRing, _table_dtype, packed_words, row_blocks, row_classes
 
 DEFAULT_IDEAL_ENUMERATION_CAP = 256
 
@@ -233,10 +239,13 @@ def is_prime(i: Ideal) -> bool:
 
 
 def quotient_ring(r: FiniteRing, i: Ideal) -> tuple[FiniteRing, np.ndarray]:
-    """R/I on least-index coset representatives, plus the element -> coset map.
+    """R/I on least-member coset representatives (see the module
+    docstring), plus the element -> coset map in intp.
 
-    The quotient by the zero ideal is the ring itself (identity map). Coset
-    x+I is named "x+I" after its least member x, on first read.
+    The quotient by the zero ideal is the ring itself (identity map). The
+    tables come out in ``np.min_scalar_type(q.order - 1)``, which
+    ``FiniteRing`` keeps without a copy. Coset x+I is named "x+I" after its
+    least member x, on first read.
     """
     if not i.is_proper:
         raise ImproperIdealError("cannot form the quotient by the whole ring")
@@ -246,12 +255,15 @@ def quotient_ring(r: FiniteRing, i: Ideal) -> tuple[FiniteRing, np.ndarray]:
         return r, cmap
     mem = np.flatnonzero(i.mask)
     # x + m = m + x by commutativity of +, so whole rows m give each coset's
-    # members column by column
+    # members column by column, and reps[x] is the least member of x + I
     reps = r.add_table.take(mem, axis=0).min(axis=0)
-    rep_values = np.unique(reps)
-    cmap = np.searchsorted(rep_values, reps).astype(np.intp)
-    add_q = cmap[r.add_table.take(rep_values, axis=0).take(rep_values, axis=1)]
-    mul_q = cmap[r.mul_table.take(rep_values, axis=0).take(rep_values, axis=1)]
+    is_rep = reps == np.arange(r.order)
+    rep_values = np.flatnonzero(is_rep)
+    cmap = (is_rep.cumsum() - 1)[reps]
+    narrow = cmap.astype(_table_dtype(len(rep_values)))
+    block = np.ix_(rep_values, rep_values)
+    add_q = narrow[r.add_table[block]]
+    mul_q = narrow[r.mul_table[block]]
     base_names = r._name_source()
 
     def names():

@@ -64,7 +64,6 @@ from .rings import (
     run_memo,
     table_mask,
     total_quotient_ring,
-    zero_divisors,
 )
 from .specs import build_ring, format_spec, parse_catalogue_line
 
@@ -114,7 +113,7 @@ def _set_run_memo(fresh: bool) -> None:
 def _quotient_side(q: FiniteRing) -> tuple[SimpleGraph, bool, int]:
     """Gamma(R/I), von Neumann regularity of R/I and |Z(R/I)|."""
     total_quotient_ring(q)  # guard: regular elements are units
-    return gamma(q), is_von_neumann_regular(q), len(zero_divisors(q))
+    return gamma(q), is_von_neumann_regular(q), int(np.count_nonzero(q.zero_divisor_mask))
 
 
 class PairAnalysis:
@@ -271,21 +270,27 @@ def check_classification_cases(a: PairAnalysis):
 def check_orthogonality_lifting(a: PairAnalysis):
     """For radical non-prime I: x and y are orthogonal in Gamma_I(R) exactly
     when their cosets are orthogonal in Gamma(R/I); orthogonal vertices
-    never share a coset."""
+    never share a coset. Each vertex's coset is looked up among the
+    vertices of Gamma(R/I), and one that is not there is reported."""
     applicable = a.verdict.ideal_is_radical and not a.verdict.ideal_is_prime
     if not applicable:
         return False, None
     gi, gq = a.gi, a.gq
     cosets = a.coset_map[np.asarray(gi.vertices, dtype=np.intp)]
-    pos = np.searchsorted(np.asarray(gq.vertices, dtype=np.intp), cosets)
-    same = cosets[:, None] == cosets[None, :]
-    lifted = gq.orth.take(pos, axis=0).take(pos, axis=1) & ~same
+    index = np.full(a.quotient.order, -1, dtype=np.intp)
+    index[np.asarray(gq.vertices, dtype=np.intp)] = np.arange(gq.vertex_count)
+    pos = index[cosets]
+    missing = pos < 0
+    if missing.any():
+        return True, {"x": gi.vertices[int(missing.argmax())], "reason": "coset is not a vertex of Gamma(R/I)"}
+    # Gamma(R/I) has no loop, so a pair inside one coset never lifts
+    lifted = gq.orth[np.ix_(pos, pos)]
     bad = np.triu(gi.orth != lifted, 1)
     if not bad.any():
         return True, None
     i, j = divmod(int(bad.argmax()), len(cosets))
     x, y = gi.vertices[i], gi.vertices[j]
-    if same[i, j]:
+    if cosets[i] == cosets[j]:
         return True, {"x": x, "y": y, "reason": "orthogonal pair inside one coset"}
     return True, {
         "x": x, "y": y, "gi_orthogonal": bool(gi.orth[i, j]), "quotient_orthogonal": bool(lifted[i, j])

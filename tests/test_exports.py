@@ -35,3 +35,27 @@ def test_every_top_level_definition_has_a_caller_or_is_exported():
     ]
     assert "rings.py" in trees
     assert unused == []
+
+
+def test_every_import_is_read():
+    # an imported name counts as read when some code in its module loads it;
+    # __future__ imports and the names __init__ re-exports are exempt
+    paths = sorted(pathlib.Path(zdglab.__file__).parent.glob("*.py"))
+    assert "verifier.py" in {path.name for path in paths}
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        if path.name == "__init__.py":
+            read |= set(zdglab.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [f"{path.name}:{name}" for name in names if name not in read]
+    assert unread == []

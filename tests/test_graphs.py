@@ -467,6 +467,11 @@ def test_graph_rejects_adjacency_that_is_not_square_symmetric_and_loop_free():
     looped[2, 2] = True
     with pytest.raises(ValueError, match="loop"):
         SimpleGraph(range(3), looped, "looped")
+    # the keys must be strictly ascending: neither out of order nor repeated
+    with pytest.raises(ValueError, match="strictly ascending"):
+        SimpleGraph([3, 1], adj[:2, :2], "descending keys")
+    with pytest.raises(ValueError, match="strictly ascending"):
+        SimpleGraph([1, 1], adj[:2, :2], "repeated key")
 
 
 def test_graph_leaves_the_callers_adjacency_array_writeable():

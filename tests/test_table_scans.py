@@ -10,6 +10,7 @@ not principal.
 """
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,21 @@ def test_quotient_by_a_large_ideal_matches_the_column_reads():
     assert q.order == 2
     assert np.array_equal(cmap, expected_map)
     assert np.array_equal(q.add_table, add) and np.array_equal(q.mul_table, mul)
+
+
+def test_quotient_tables_are_gathered_in_their_own_dtype():
+    # each table is gathered straight into the quotient's dtype and kept
+    # by FiniteRing as it is, with no quotient-sized intp temporary
+    r = build_zn(4096)
+    tracemalloc.start()
+    try:
+        q, cmap = quotient_ring(r, generate_ideal(r, [2048]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.order == 2048 and cmap.dtype == np.intp
+    assert q.add_table.dtype == q.mul_table.dtype == np.min_scalar_type(q.order - 1)
+    assert peak < 2 * (q.add_table.nbytes + q.mul_table.nbytes)
 
 
 @pytest.mark.parametrize("cells", [1, 100, rings._BLOCK_CELLS])

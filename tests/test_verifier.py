@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,9 +25,11 @@ from zdglab import (
     parse_catalogue_text,
     run_catalogue,
 )
+import zdglab
 from zdglab import rings
 from zdglab.verifier import (
     CHECKS,
+    _drop_top_vertex,
     check_annihilator_agreement,
     check_cardinality,
     check_classification_cases,
@@ -177,6 +181,12 @@ def with_gi_edges(analysis, edges):
     return analysis
 
 
+def without_vertex(graph, v):
+    """``graph`` rebuilt without the vertex key ``v``."""
+    keep = [i for i, key in enumerate(graph.vertices) if key != v]
+    return SimpleGraph([graph.vertices[i] for i in keep], graph.adj[np.ix_(keep, keep)], graph.name)
+
+
 def with_edge_toggled(analysis, a, b):
     """The same pair with the edge {a, b} of Gamma_I(R) added or removed."""
     return with_gi_edges(analysis, set(edge_keys(analysis.gi)) ^ {(a, b)})
@@ -202,6 +212,19 @@ def test_orthogonality_lifting_witnesses():
     a = with_gi_edges(pair("Zn:12", [6]), [(2, 3), (2, 8)])
     assert check_orthogonality_lifting(a) == (
         True, {"x": 2, "y": 8, "reason": "orthogonal pair inside one coset"}
+    )
+    # Gamma(Z_30) as Gamma(R/I) without vertex 2: the coset of vertex 2 has
+    # no row there, and the row of 3 is not read in its place
+    a = pair("Zn:30", [])
+    a.gq = without_vertex(a.gq, 2)
+    assert check_orthogonality_lifting(a) == (
+        True, {"x": 2, "reason": "coset is not a vertex of Gamma(R/I)"}
+    )
+    # the top vertex dropped: its coset lies past every row of Gamma(R/I)
+    a = pair("Zn:1155", [])
+    a.gq = _drop_top_vertex(a.gq)
+    assert check_orthogonality_lifting(a) == (
+        True, {"x": 1152, "reason": "coset is not a vertex of Gamma(R/I)"}
     )
 
 
@@ -234,6 +257,28 @@ def test_check_radical_equivalences():
     assert passes(check_radical_equivalences, pair("Zn:12", [3]))  # prime: all vacuous-true
     assert passes(check_radical_equivalences, pair("Zn:6", []))
     assert not_applicable(check_radical_equivalences, pair("Zn:8", [4]))
+
+
+def test_verify_never_imports_numpy_ma(tmp_path):
+    # numpy's first np.unique call imports numpy.ma; a fresh verify on
+    # nonzero ideals builds its quotients without it
+    catalogue = tmp_path / "small.cat"
+    catalogue.write_text("Zn:12\nprod(Zn:2,Zn:4)\nquot(Zn:24;12) [2]\n", encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from zdglab.cli import main\n"
+        "code = main(['verify', '--catalogue', sys.argv[1], '--jobs', '1', '--quiet', '--out', sys.argv[2]])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(zdglab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(catalogue), str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.split() == ["0", "False"]
+    pairs = json.loads((tmp_path / "report.json").read_text())["verdicts"]
+    assert sum(len(p["ideal_members"]) > 1 for p in pairs) >= 5
 
 
 def test_run_catalogue_single_pair():
