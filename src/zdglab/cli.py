@@ -2,8 +2,9 @@
 per-pair verdicts, and catalogue verification.
 
 Standard output carries only the requested artifact; progress and
-summaries go to standard error. ``verify`` exits nonzero exactly when the
-report records failures.
+summaries go to standard error. Exit codes: 0 success, 1 a ``verify``
+report that records failures, 2 a usage or input error (bad option, spec,
+catalogue or file), 3 an internal error, its traceback on standard error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import asdict
 
 from . import __version__
@@ -259,12 +261,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ZdglabError as e:
+    except (ZdglabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

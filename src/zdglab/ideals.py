@@ -264,10 +264,10 @@ def quotient_ring(r: FiniteRing, i: Ideal) -> tuple[FiniteRing, np.ndarray]:
     block = np.ix_(rep_values, rep_values)
     add_q = narrow[r.add_table[block]]
     mul_q = narrow[r.mul_table[block]]
-    base_names = r._name_source()
+    base_names = r._name_source
 
     def names():
-        base = base_names()
+        base = tuple(base_names())
         return (f"{base[v]}+I" for v in rep_values.tolist())
 
     gens = i.generators if i.generators else (r.zero,)

@@ -22,9 +22,9 @@ is exact on a commutative and associative table. Those are ring axioms,
 which ``validate_ring_axioms`` decides and construction does not check,
 not statements that ``verify`` checks.
 
-Element names are for display only, and no predicate reads them. The
-builders hand ``FiniteRing`` a function that makes them, and the names are
-built on the first read of ``element_names``.
+Element names are for display only, and no predicate reads them. Each ring
+keeps one function that makes them, and ``element_names`` is a cached
+property built from it on first read.
 """
 
 from __future__ import annotations
@@ -139,8 +139,9 @@ class FiniteRing:
 
     ``element_names`` is one display name per element. It may be given as a
     sequence, which is length-checked here, or as a function returning one,
-    which is called and checked on the first read of ``element_names``. The
-    function is dropped after that read, together with whatever it refers to.
+    whose result is checked on the first read. Either is kept as one
+    function, ``_name_source``, which refers to no ring, so a derived ring
+    does not keep its source rings' tables alive.
     """
 
     def __init__(
@@ -178,7 +179,9 @@ class FiniteRing:
             raise RingConsistencyError("`zero` is not an additive identity")
         if not (mul[one] == idx).all():
             raise RingConsistencyError("`one` is not a multiplicative identity")
-        names = element_names if callable(element_names) else _checked_names(element_names, n)
+        if not callable(element_names):
+            names = _checked_names(element_names, n)
+            element_names = lambda: names
         add.setflags(write=False)
         mul.setflags(write=False)
         self.order = n
@@ -186,24 +189,13 @@ class FiniteRing:
         self.one = one
         self.add_table = add
         self.mul_table = mul
-        self._names = names
+        self._name_source = element_names
         self.spec = str(spec)
 
-    @property
+    @cached_property
     def element_names(self) -> tuple[str, ...]:
         """One display name per element, built on first read."""
-        names = self._names
-        if callable(names):
-            names = self._names = _checked_names(names(), self.order)
-        return names
-
-    def _name_source(self) -> Callable[[], tuple[str, ...]]:
-        """A function returning ``element_names`` that holds no reference to
-        the ring, so a ring built from this one does not keep its tables."""
-        names, order = self._names, self.order
-        if callable(names):
-            return lambda: _checked_names(names(), order)
-        return lambda: names
+        return _checked_names(self._name_source(), self.order)
 
     @cached_property
     def zero_divisor_mask(self) -> np.ndarray:
@@ -380,10 +372,10 @@ def direct_product(a: FiniteRing, b: FiniteRing, *, max_order: int = DEFAULT_MAX
     nb = b.order
     add = _pair_table(a.add_table, b.add_table)
     mul = _pair_table(a.mul_table, b.mul_table)
-    a_names, b_names = a._name_source(), b._name_source()
+    a_names, b_names = a._name_source, b._name_source
 
     def names():
-        right = b_names()
+        right = tuple(b_names())
         return (f"({x},{y})" for x in a_names() for y in right)
 
     zero = a.zero * nb + b.zero

@@ -23,7 +23,10 @@ fault-injection report on ``perfbench/canary.cat``, the bytes that
 reports are checked at jobs 1, evaluated in this process, and at jobs 2,
 evaluated in a process pool whose workers each start their own run memo.
 The canary report is the only pinned one with failures, so it pins their
-witnesses and their order.
+witnesses and their order. The report on ``catalogues/wide.cat`` is pinned
+at jobs 1 and 2 too: its rings are the only committed ones whose class
+graphs have more than 64 classes, so it is the only pinned report that
+depends on the second 64-bit word of a packed class row.
 """
 
 import hashlib
@@ -63,6 +66,10 @@ SCALE_CATALOGUE = Path(__file__).resolve().parents[1] / "perfbench" / "scale.cat
 CANARY_REPORT_SHA256 = "fbeec8d9ef1a07d4362f59bbfdb1f5d5c4bed690acbd4bdd16bdf5bcfaedbe24"
 CANARY_FAILURES = 18
 CANARY_CATALOGUE = SCALE_CATALOGUE.with_name("canary.cat")
+# only for the description "catalogues/wide.cat"
+WIDE_REPORT_SHA256 = "6932a2e0354ad61b4533b72bd6d129606863a5e52da94273227d83c219c376f1"
+WIDE_FAULT_FAILURES = 147
+WIDE_CATALOGUE = SCALE_CATALOGUE.parents[1] / "catalogues" / "wide.cat"
 
 
 def report_line(name: str, ok: bool, extra: str = "") -> None:
@@ -327,3 +334,17 @@ def test_canary_fault_report_golden_hash(jobs):
     report = run_catalogue(entries, description="perfbench/canary.cat", jobs=jobs, inject_fault=True)
     assert report.failures_total == CANARY_FAILURES
     assert sha256_of(report) == CANARY_REPORT_SHA256
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_wide_report_golden_hash(jobs):
+    entries = parse_catalogue_text(WIDE_CATALOGUE.read_text(encoding="utf-8"))
+    report = run_catalogue(entries, description="catalogues/wide.cat", jobs=jobs)
+    assert report.catalogue["pairs"] == 158 and report.failures_total == 0
+    assert sha256_of(report) == WIDE_REPORT_SHA256
+
+
+def test_wide_fault_report_has_failures():
+    entries = parse_catalogue_text(WIDE_CATALOGUE.read_text(encoding="utf-8"))
+    report = run_catalogue(entries, description="catalogues/wide.cat", jobs=1, inject_fault=True)
+    assert report.failures_total == WIDE_FAULT_FAILURES

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from zdglab import verifier
 from zdglab.cli import main
 
 K2_DOT = 'graph "Gamma_{4}(Zn:8)" {\n  "2";\n  "6";\n  "2" -- "6";\n}\n'
@@ -408,6 +409,22 @@ def test_oversized_integer_is_an_input_error(spec, tmp_path, capsys):
     assert main(["verify", "--catalogue", str(cat), "--quiet"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err and "line 2" in err
+
+
+def test_verify_internal_error_exits_3_and_writes_no_report(tmp_path, capsys, monkeypatch):
+    def broken(analysis):
+        raise IndexError("broken check")
+
+    (name, _), *rest = verifier.CHECKS
+    monkeypatch.setattr(verifier, "CHECKS", ((name, broken), *rest))
+    cat = tmp_path / "cat.txt"
+    cat.write_text("Zn:8 [4]\n")
+    out_path = tmp_path / "report.json"
+    code = main(["verify", "--catalogue", str(cat), "--jobs", "1", "--quiet", "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and "IndexError: broken check" in err
+    assert not out_path.exists()
 
 
 def test_verify_progress_goes_to_stderr(tmp_path, capsys):

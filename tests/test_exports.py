@@ -1,10 +1,13 @@
 """The package's public surface: ``zdglab.__all__`` and ``from zdglab import *``,
-and that nothing else in ``src/zdglab`` is defined without a caller there."""
+that nothing else in ``src/zdglab`` is defined without a caller there, and
+that every name the benchmark tracer wraps still exists."""
 
 import ast
+import importlib.util
 import pathlib
 
 import zdglab
+from zdglab import verifier
 
 
 def test_every_exported_name_resolves():
@@ -59,3 +62,22 @@ def test_every_import_is_read():
                 continue
             unread += [f"{path.name}:{name}" for name in names if name not in read]
     assert unread == []
+
+
+def test_every_tracer_target_resolves():
+    # perfbench/tracer.py records a missing target as a null metric instead
+    # of failing, so a renamed function would silently drop its layer
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    unresolved = []
+    for span, module, attr in tracer.TARGETS:
+        target = importlib.import_module(module)
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            unresolved.append((span, module, attr))
+    assert unresolved == []
+    assert tracer.CHECK_NAMES == verifier.CHECK_NAMES

@@ -5,6 +5,9 @@ Derived expectations are computed by the independent oracles in
 assertions they back.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import sympy
@@ -381,7 +384,7 @@ def test_names_built_on_first_read_equal_eager_names_on_the_default_catalogue():
     for entry in default_catalogue():
         node = parse_ring_spec(entry.spec)
         ring = build_ring(node)
-        assert callable(ring._names), entry.spec
+        assert "element_names" not in vars(ring), entry.spec
         # quotients first, so that each takes its names from a ring whose
         # own names are not built yet
         pairs = [(i, *quotient_ring(ring, i)) for i in all_ideals(ring) if i.is_proper and not i.is_zero]
@@ -391,7 +394,7 @@ def test_names_built_on_first_read_equal_eager_names_on_the_default_catalogue():
             assert q.element_names == eager_quotient_names(ring, cmap), (entry.spec, ideal)
             assert gi.to_json_obj(ring.element_names)["vertices"] == [eager[v] for v in gi.vertices]
         assert ring.element_names == eager, entry.spec
-        assert ring._names is ring.element_names
+        assert vars(ring)["element_names"] is ring.element_names
 
 
 def test_names_are_length_checked_when_given_and_when_built():
@@ -403,3 +406,20 @@ def test_names_are_length_checked_when_given_and_when_built():
         lazy.element_names
     named = FiniteRing(z2.add_table, z2.mul_table, ["zero", "one"], "named:Zn:2", zero=0, one=1)
     assert named.element_names == ("zero", "one")
+
+
+def test_derived_rings_hold_no_reference_to_their_source_rings():
+    # each derived ring's names are read only after its sources are gone
+    a, b = build_zn(2), build_zn(4)
+    p = direct_product(a, b)
+    sources = [weakref.ref(a), weakref.ref(b)]
+    del a, b
+    gc.collect()
+    assert [ref() for ref in sources] == [None, None]
+    assert p.element_names[:5] == ("(0,0)", "(0,1)", "(0,2)", "(0,3)", "(1,0)")
+    q, _ = quotient_ring(p, generate_ideal(p, [2]))
+    source = weakref.ref(p)
+    del p
+    gc.collect()
+    assert source() is None
+    assert q.element_names == ("(0,0)+I", "(0,1)+I", "(1,0)+I", "(1,1)+I")

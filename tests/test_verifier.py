@@ -340,7 +340,7 @@ def test_analyze_pair_builds_no_names_or_labels():
     ring = build_ring("prod(Zn:4,polyq:2:0,0,1)")
     a = analyze_pair(ring, generate_ideal(ring, [2]))
     assert not a.ideal.is_zero and a.gi.vertex_count and a.gq.vertex_count
-    assert callable(ring._names) and callable(a.quotient._names)
+    assert "element_names" not in vars(ring) and "element_names" not in vars(a.quotient)
 
 
 def test_classification_cases_do_not_apply_to_zero_or_prime_ideals():
