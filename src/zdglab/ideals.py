@@ -243,7 +243,7 @@ def quotient_ring(r: FiniteRing, i: Ideal) -> tuple[FiniteRing, np.ndarray]:
     docstring), plus the element -> coset map in intp.
 
     The quotient by the zero ideal is the ring itself (identity map). The
-    tables come out in ``np.min_scalar_type(q.order - 1)``, which
+    tables come out read-only in ``np.min_scalar_type(q.order - 1)``, which
     ``FiniteRing`` keeps without a copy. Coset x+I is named "x+I" after its
     least member x, on first read.
     """
@@ -264,6 +264,8 @@ def quotient_ring(r: FiniteRing, i: Ideal) -> tuple[FiniteRing, np.ndarray]:
     block = np.ix_(rep_values, rep_values)
     add_q = narrow[r.add_table[block]]
     mul_q = narrow[r.mul_table[block]]
+    add_q.setflags(write=False)
+    mul_q.setflags(write=False)
     base_names = r._name_source
 
     def names():

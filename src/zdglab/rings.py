@@ -5,17 +5,17 @@ read-only order x order numpy arrays in the narrowest unsigned dtype that
 holds every element index (uint8 up to order 256, uint16 up to 65536), so
 every predicate in this module is an explicit exhaustive scan over those
 tables. The builders produce that dtype directly, with no order x order
-int64 temporary.
+int64 temporary, and lock each fresh table so that ``FiniteRing`` keeps it
+without a copy.
 
-Three facts are read off the tables once per ring, on first use, and kept
+Two facts are read off the tables once per ring, on first use, and kept
 on it as read-only length-order cached properties: ``zero_divisor_mask``,
-``unit_mask`` and ``power_array`` (x^(2^k) with 2^k >= order).
-``zero_divisors`` and ``nilpotents`` (as ascending member tuples),
-``total_quotient_ring`` and ``ideals.Ideal.radical_mask`` read them. Each
-is one scan of ``mul_table`` in row blocks of ``_BLOCK_CELLS`` cells (the
-power array only reads the diagonal), so no order x order temporary is
-built for them. What recurs within a ``verify`` run but belongs to no one
-object is kept in ``run_memo``.
+one scan of ``mul_table`` in row blocks of ``_BLOCK_CELLS`` cells, and
+``power_array`` (x^(2^k) with 2^k >= order), read off the diagonal, so no
+order x order temporary is built for them. ``zero_divisors`` and
+``nilpotents`` (as ascending member tuples), ``total_quotient_ring`` and
+``ideals.Ideal.radical_mask`` read them. What recurs within a ``verify``
+run but belongs to no one object is kept in ``run_memo``.
 
 ``is_von_neumann_regular`` tests x against row x*x of ``mul_table``, which
 is exact on a commutative and associative table. Those are ring axioms,
@@ -121,21 +121,22 @@ def _table_dtype(order: int) -> np.dtype:
 class FiniteRing:
     """A finite commutative ring with nonzero identity.
 
-    The tables may come in any integer dtype; they are stored contiguous in
-    ``np.min_scalar_type(order - 1)`` (a contiguous table already in that
-    dtype is kept, not copied). Construction only checks that the entries
-    are integers in range, before narrowing, and that ``zero`` and ``one``
-    act as identities; ``validate_ring_axioms`` checks every axiom exactly,
-    in O(n^2 * k) for k additive generators. Instances are immutable after
-    construction (the tables are locked), so they are safe to share between
-    threads.
+    The tables may come in any integer dtype; they are stored C-contiguous
+    in ``np.min_scalar_type(order - 1)``. A read-only C-contiguous table
+    already in that dtype is kept; any other table is copied, so a caller's
+    writeable array stays writeable and is never shared with the ring.
+    Construction only checks that the entries are integers in range, before
+    narrowing, and that ``zero`` and ``one`` act as identities;
+    ``validate_ring_axioms`` checks every axiom exactly, in O(n^2 * k) for
+    k additive generators. Instances are immutable after construction (the
+    tables are read-only), so they are safe to share between threads.
 
-    ``zero_divisor_mask``, ``unit_mask`` and ``power_array`` are cached
-    properties (see the module docstring). Each is a read-only 1-D array of
-    length ``order``: nothing order x order is ever cached, on a ring or on
-    an ideal, since the two tables are the only quadratic state. Two
-    threads that fill one fact compute the same array, so the cache keeps
-    the ring safe to share.
+    ``zero_divisor_mask`` and ``power_array`` are cached properties (see
+    the module docstring). Each is a read-only 1-D array of length
+    ``order``: nothing order x order is ever cached, on a ring or on an
+    ideal, since the two tables are the only quadratic state. Two threads
+    that fill one fact compute the same array, so the cache keeps the ring
+    safe to share.
 
     ``element_names`` is one display name per element. It may be given as a
     sequence, which is length-checked here, or as a function returning one,
@@ -166,8 +167,8 @@ class FiniteRing:
         if any((t.dtype.kind == "i" and t.min() < 0) or t.max() >= n for t in (add, mul)):
             raise RingConsistencyError("table entries must be element indices in 0..order-1")
         dtype = _table_dtype(n)
-        add = np.ascontiguousarray(add, dtype=dtype)
-        mul = np.ascontiguousarray(mul, dtype=dtype)
+        kept = lambda t: t.dtype == dtype and t.flags.c_contiguous and not t.flags.writeable
+        add, mul = (t if kept(t) else np.array(t, dtype, order="C") for t in (add, mul))
         zero = int(zero)
         one = int(one)
         if not (0 <= zero < n and 0 <= one < n):
@@ -199,13 +200,15 @@ class FiniteRing:
 
     @cached_property
     def zero_divisor_mask(self) -> np.ndarray:
-        """Z(R) as a mask: the x with x*y = 0 for some nonzero y."""
-        return _rows_holding(self, self.zero, skip_column=self.zero)
-
-    @cached_property
-    def unit_mask(self) -> np.ndarray:
-        """The units as a mask: the x with x*y = 1 for some y."""
-        return _rows_holding(self, self.one)
+        """Z(R) as a mask: the x with x*y = 0 for some nonzero y, scanned
+        in row blocks."""
+        hits = np.empty(self.order, dtype=bool)
+        for rows in row_blocks(self.order, self.order):
+            block = self.mul_table[rows] == self.zero
+            block[:, self.zero] = False
+            hits[rows] = block.any(axis=1)
+        hits.setflags(write=False)
+        return hits
 
     @cached_property
     def power_array(self) -> np.ndarray:
@@ -276,6 +279,7 @@ def build_zn(n: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
         block = np.multiply.outer(idx[rows], idx)
         block -= block // modulus * modulus
         mul[rows] = block
+    mul.setflags(write=False)
     return FiniteRing(add, mul, lambda: map(str, range(n)), f"Zn:{n}", zero=0, one=1)
 
 
@@ -295,13 +299,15 @@ def _poly_name(digits: Sequence[int], p: int) -> str:
 
 def _pair_table(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     """The componentwise table of two operation tables on row-major pairs
-    (i*len(tb) + j), in the table dtype of the product's order."""
+    (i*len(tb) + j), in the table dtype of the product's order, read-only."""
     na, nb = len(ta), len(tb)
     dtype = _table_dtype(na * nb)
     # widen before multiplying: uint8 factors can have a uint16 product, and
     # ta*nb would wrap in uint8
     high = ta.astype(dtype) * dtype.type(nb)
-    return (high[:, None, :, None] + tb.astype(dtype)[None, :, None, :]).reshape(na * nb, na * nb)
+    table = (high[:, None, :, None] + tb.astype(dtype)[None, :, None, :]).reshape(na * nb, na * nb)
+    table.setflags(write=False)
+    return table
 
 
 def build_poly_quotient(p: int, coeffs: Sequence[int], *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
@@ -356,6 +362,7 @@ def build_poly_quotient(p: int, coeffs: Sequence[int], *, max_order: int = DEFAU
             flat *= order
             flat += times_x[mul[rows // p].astype(np.intp)]
             mul[block] = cells[flat]
+    mul.setflags(write=False)
 
     def names():
         digits = idx[:, None] // p ** np.arange(k, dtype=np.intp) % p
@@ -392,19 +399,6 @@ def table_mask(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     for rows in row_blocks(len(table), table.shape[1]):
         out[rows] = mask[table[rows].astype(np.intp)]
     return out
-
-
-def _rows_holding(r: FiniteRing, value: int, skip_column: int | None = None) -> np.ndarray:
-    """Read-only mask of the rows of ``mul_table`` holding ``value`` outside
-    column ``skip_column``, scanned in row blocks."""
-    hits = np.empty(r.order, dtype=bool)
-    for rows in row_blocks(r.order, r.order):
-        block = r.mul_table[rows] == value
-        if skip_column is not None:
-            block[:, skip_column] = False
-        hits[rows] = block.any(axis=1)
-    hits.setflags(write=False)
-    return hits
 
 
 def zero_divisors(r: FiniteRing) -> tuple[int, ...]:
@@ -448,14 +442,17 @@ def total_quotient_ring(r: FiniteRing) -> FiniteRing:
     """Localization at the non-zero-divisors; the ring itself when finite.
 
     In a finite commutative ring every regular element is a unit, so the
-    localization changes nothing. This verifies that fact on the ring's
-    zero-divisor and unit masks (it can only fail for corrupted data) and
-    returns ``r`` unchanged.
+    localization changes nothing. This verifies that fact (it can only fail
+    for corrupted data) and returns ``r`` unchanged: it reads, in row
+    blocks, only the rows of ``mul_table`` outside ``zero_divisor_mask``,
+    and names the least of them that does not hold ``one``.
     """
-    bad = ~r.zero_divisor_mask & ~r.unit_mask
-    if bad.any():
-        x = int(bad.argmax())
-        raise RingConsistencyError(f"element {r.element_names[x]} is neither a unit nor a zero-divisor")
+    regular = np.flatnonzero(~r.zero_divisor_mask)
+    for rows in row_blocks(len(regular), r.order):
+        units = (r.mul_table.take(regular[rows], axis=0) == r.one).any(axis=1)
+        if not units.all():
+            x = int(regular[rows][units.argmin()])
+            raise RingConsistencyError(f"element {r.element_names[x]} is neither a unit nor a zero-divisor")
     return r
 
 

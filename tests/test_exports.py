@@ -7,7 +7,7 @@ import importlib.util
 import pathlib
 
 import zdglab
-from zdglab import verifier
+from zdglab import CatalogueEntry, all_ideals, build_zn, gamma, gamma_ideal, generate_ideal, verifier
 
 
 def test_every_exported_name_resolves():
@@ -81,3 +81,28 @@ def test_every_tracer_target_resolves():
             unresolved.append((span, module, attr))
     assert unresolved == []
     assert tracer.CHECK_NAMES == verifier.CHECK_NAMES
+
+
+def test_every_tracer_result_counter_reads_a_real_result():
+    # a counter that raises AttributeError, KeyError or TypeError on a
+    # changed result type is recorded as missing and its metrics read null
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    ring = build_zn(4)
+    results = {
+        "rings.build": ring,
+        "ideals.all_ideals": all_ideals(ring),
+        "graphs.gamma_ideal": gamma_ideal(ring, generate_ideal(ring, [2])),
+        "graphs.gamma": gamma(ring),
+        "verifier.evaluate_entry": verifier.evaluate_entry(CatalogueEntry("Zn:4")),
+    }
+    assert set(results) == set(tracer.RESULT_COUNTERS)
+    recorder = tracer.Tracer()
+    for span, result in results.items():
+        assert recorder.wrap(lambda: result, span)() is result
+    assert recorder.missing == set()
+    listed = {metric for _, metrics in tracer.RESULT_COUNTERS.values() for metric in metrics}
+    assert listed == set(recorder.counters)
+    assert recorder.counters["graphs.built"] == 2 and recorder.counters["ideals.enumerated"] == 3

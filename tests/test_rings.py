@@ -6,6 +6,7 @@ assertions they back.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -218,6 +219,51 @@ def test_total_quotient_ring_flags_regular_nonunit():
         total_quotient_ring(corrupt)
     with pytest.raises(RingConsistencyError):
         validate_ring_axioms(corrupt)
+
+
+def test_total_quotient_ring_names_the_least_regular_nonunit_past_the_first_block():
+    # Z_512 has 256 regular rows, the odd x, and a row block holds 128 of
+    # them: 301 and 459 lie in the second block, and 301 is the least
+    base = build_zn(512)
+    assert len(list(rings.row_blocks(256, 512))) == 2
+    mul = base.mul_table.copy()
+    for x in (459, 301):
+        # drop the 1 from row x: x stays regular (0 only at column 0) and
+        # is no longer a unit; no other row changes
+        mul[x, pow(x, -1, 512)] = 3
+    corrupt = FiniteRing(base.add_table, mul, base.element_names, "corrupt:Zn:512", zero=0, one=1)
+    assert not corrupt.zero_divisor_mask[[301, 459]].any()
+    with pytest.raises(RingConsistencyError, match="^element 301 is neither a unit nor a zero-divisor$"):
+        total_quotient_ring(corrupt)
+
+
+def test_ring_leaves_the_callers_tables_writeable():
+    base = build_zn(4)
+    add, mul = base.add_table.copy(), base.mul_table.copy()
+    assert add.dtype == mul.dtype == np.uint8
+    r = FiniteRing(add, mul, base.element_names, "Zn:4", zero=0, one=1)
+    assert add.flags.writeable and mul.flags.writeable
+    assert not (r.add_table.flags.writeable or r.mul_table.flags.writeable)
+    assert not (np.shares_memory(add, r.add_table) or np.shares_memory(mul, r.mul_table))
+    add[1, 1] = 3  # the caller's table is no longer Z_4's
+    assert r.add_table[1, 1] == 2
+    # a read-only C-contiguous table already in the table dtype is kept
+    kept = FiniteRing(base.add_table, base.mul_table, base.element_names, "Zn:4", zero=0, one=1)
+    assert kept.add_table is base.add_table and kept.mul_table is base.mul_table
+
+
+@pytest.mark.parametrize("spec", ["Zn:2048", "prod(Zn:32,Zn:64)", "polyq:3:1,2,0,0,0,0,0,1"])
+def test_builders_hand_their_tables_over_without_a_copy(spec):
+    # the two tables and the builder's temporaries, about 2 tables in all;
+    # a fresh table that FiniteRing copied would add a third
+    tracemalloc.start()
+    try:
+        r = build_ring(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.order >= 2048
+    assert peak < 2.5 * r.add_table.nbytes
 
 
 def test_every_element_unit_or_zero_divisor():

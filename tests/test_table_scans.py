@@ -31,6 +31,7 @@ from zdglab import (
     nilpotents,
     parse_catalogue_text,
     quotient_ring,
+    total_quotient_ring,
     zero_divisors,
 )
 from zdglab import rings
@@ -78,7 +79,8 @@ def _assert_ring_facts(r):
     zd, nil = scan_zero_divisors(r), scan_nilpotents(r)
     assert np.array_equal(r.zero_divisor_mask, zd), r.spec
     assert zero_divisors(r) == tuple(np.flatnonzero(zd).tolist()), r.spec
-    assert np.array_equal(r.unit_mask, scan_units(r)), r.spec
+    assert (scan_units(r) | zd).all(), r.spec
+    assert total_quotient_ring(r) is r, r.spec
     assert np.array_equal(r.power_array == r.zero, nil), r.spec
     assert nilpotents(r) == tuple(np.flatnonzero(nil).tolist()), r.spec
     assert is_von_neumann_regular(r) == column_von_neumann_regular(r), r.spec
@@ -210,7 +212,7 @@ def test_cached_facts_are_read_only_and_linear():
     fields = {f.name for f in dataclasses.fields(ideal)}
     ideal_facts = {k: v for k, v in vars(ideal).items() if k not in fields}
     ring_facts = {k: v for k, v in vars(ring).items() if k not in vars(build_zn(2))}
-    assert set(ring_facts) == {"zero_divisor_mask", "unit_mask", "power_array"}
+    assert set(ring_facts) == {"zero_divisor_mask", "power_array"}
     assert set(ideal_facts) == {"vertex_mask", "radical_mask"}
     for fact in (*ring_facts.values(), *ideal_facts.values()):
         assert isinstance(fact, np.ndarray)
