@@ -112,7 +112,8 @@ def cmd_graph(args) -> int:
     if args.format == "json":
         _emit(json.dumps(graph.to_json_obj(ring.element_names), indent=2, sort_keys=True) + "\n", args.out)
     else:
-        _emit(graph.to_dot(ring.element_names), args.out)
+        gens = ",".join(str(g) for g in ideal.generators or (ring.zero,))
+        _emit(graph.to_dot(ring.element_names, f"Gamma_{{{gens}}}({ring.spec})"), args.out)
     return 0
 
 

@@ -36,10 +36,11 @@ exact adjacency matrix, so a matrix that recurs within a ``verify`` run
 (empty graphs among them) is decided once per process. A hit gives
 positions only, and every witness maps them through its own graph's keys.
 
-A graph holds no display labels and no reference to its ring, so a graph
-kept in the run memo cannot keep its ring's tables. ``to_dot`` and
-``to_json_obj`` take the ring's element names and label each vertex key
-with its name; ``verify`` calls neither.
+A graph is its vertices and adjacency alone: no name, no display labels
+and no reference to its ring, so a graph kept in the run memo cannot keep
+its ring's tables alive. ``to_dot`` and ``to_json_obj`` take the ring's
+element names and label each vertex key with its name, and ``to_dot``
+takes the graph's title too; ``verify`` calls neither.
 
 ``gamma_ideal`` and ``gamma`` share one builder. Gamma_I(R) takes its
 vertices from the ideal's cached ``Ideal.vertex_mask`` and Gamma(R) from
@@ -110,8 +111,7 @@ class SimpleGraph:
     one is kept.
     """
 
-    def __init__(self, vertices: Sequence[int], adj: np.ndarray, name: str):
-        self.name = str(name)
+    def __init__(self, vertices: Sequence[int], adj: np.ndarray):
         self.vertices = tuple(vertices)
         if list(self.vertices) != sorted(set(self.vertices)):
             raise ValueError("vertex keys must be strictly ascending")
@@ -193,11 +193,11 @@ class SimpleGraph:
         n = len(self.vertices)
         return (self.edge_count == n * (n - 1) // 2, n)
 
-    def to_dot(self, names: Sequence[str]) -> str:
-        """DOT text with each vertex labelled by its key's entry of ``names``
-        (the ring's ``element_names``)."""
+    def to_dot(self, names: Sequence[str], title: str) -> str:
+        """DOT text of the graph ``title`` with each vertex labelled by its
+        key's entry of ``names`` (the ring's ``element_names``)."""
         labels = [_dot_quote(names[v]) for v in self.vertices]
-        lines = [f"graph {_dot_quote(self.name)} {{"]
+        lines = [f"graph {_dot_quote(title)} {{"]
         lines += [f"  {label};" for label in labels]
         lines += [f"  {labels[i]} -- {labels[j]};" for i, j in self.edges()]
         lines.append("}")
@@ -208,10 +208,10 @@ class SimpleGraph:
         return {"vertices": [names[v] for v in self.vertices], "edges": [[i, j] for i, j in self.edges()]}
 
     def __repr__(self) -> str:
-        return f"SimpleGraph({self.name!r}, vertices={self.vertex_count}, edges={self.edge_count})"
+        return f"SimpleGraph(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
-def _ideal_graph(r: FiniteRing, in_i: np.ndarray, vertices: np.ndarray, name: str) -> SimpleGraph:
+def _ideal_graph(r: FiniteRing, in_i: np.ndarray, vertices: np.ndarray) -> SimpleGraph:
     """The graph on the vertex mask ``vertices`` in which distinct x and y
     are adjacent when x*y lies in the subset ``in_i``. Only the V x V block
     of ``mul_table`` at the vertices is read: in row blocks, each the
@@ -222,7 +222,7 @@ def _ideal_graph(r: FiniteRing, in_i: np.ndarray, vertices: np.ndarray, name: st
         adj[block] = in_i[r.mul_table[varr[block]].take(varr, axis=1).astype(np.intp)]
     np.fill_diagonal(adj, False)
     adj.setflags(write=False)
-    return SimpleGraph(varr.tolist(), adj, name)
+    return SimpleGraph(varr.tolist(), adj)
 
 
 def gamma(r: FiniteRing) -> SimpleGraph:
@@ -230,7 +230,7 @@ def gamma(r: FiniteRing) -> SimpleGraph:
     distinct x and y adjacent exactly when x*y = 0. The vertices come from
     the ring's cached zero-divisor mask."""
     zero = np.arange(r.order) == r.zero
-    return _ideal_graph(r, zero, r.zero_divisor_mask & ~zero, f"Gamma({r.spec})")
+    return _ideal_graph(r, zero, r.zero_divisor_mask & ~zero)
 
 
 def gamma_ideal(r: FiniteRing, i: Ideal) -> SimpleGraph:
@@ -240,6 +240,4 @@ def gamma_ideal(r: FiniteRing, i: Ideal) -> SimpleGraph:
     Coincides with ``gamma`` at the zero ideal."""
     if not i.is_proper:
         raise ImproperIdealError("the ideal-based graph needs a proper ideal")
-    gens = i.generators if i.generators else (r.zero,)
-    name = f"Gamma_{{{','.join(str(g) for g in gens)}}}({r.spec})"
-    return _ideal_graph(r, i.mask, i.vertex_mask, name)
+    return _ideal_graph(r, i.mask, i.vertex_mask)

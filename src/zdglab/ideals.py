@@ -184,20 +184,19 @@ def all_ideals(r: FiniteRing, *, max_order: int = DEFAULT_IDEAL_ENUMERATION_CAP)
     """Every ideal of the ring, zero ideal and whole ring included, by the
     walk in the module docstring; sorted by (size, member sequence).
 
-    One flat scatter of the multiplication table gives the principal-mask
-    matrix (row g is Rg), and one ``row_classes`` sort of its rows the least
-    generators, each of which a principal ideal keeps; other ideals keep
-    their greedy generators. A candidate g whose Rg has a member below g
-    outside J is dropped before any sum, and the zero ideal's children are
-    the Rg themselves.
+    A scatter of the multiplication table, one row block at a time, gives
+    the principal-mask matrix (row g is Rg), and one ``row_classes`` sort of
+    its rows the least generators, each of which a principal ideal keeps;
+    other ideals keep their greedy generators. A candidate g whose Rg has a
+    member below g outside J is dropped before any sum, and the zero
+    ideal's children are the Rg themselves.
     """
     if r.order > max_order:
         raise CapExceededError(f"ideal enumeration allows order <= {max_order}, ring has {r.order}")
     n = r.order
-    flat = r.mul_table.astype(np.intp)
-    flat += np.arange(0, n * n, n)[:, None]
     principal = np.zeros((n, n), dtype=bool)
-    np.put(principal, flat, True)
+    for rows in row_blocks(n, n):
+        np.put_along_axis(principal[rows], r.mul_table[rows].astype(np.intp), True, axis=1)
     least = np.sort(row_classes(packed_words(principal))[0])
     named = {principal[g].tobytes(): (g,) for g in least.tolist()}
     ideals = []

@@ -15,14 +15,15 @@ counterexample can be replayed in isolation.
 
 Within one ``run_catalogue`` call each process keeps a run memo
 (``rings.run_memo``). Its quotient entries hold the quotient side of a pair:
-Gamma(R/I) itself, von Neumann regularity of R/I and |Z(R/I)|. They are
-keyed on the exact tables of R/I, so they assume nothing about the ring.
-Gamma_I(R) is always built from R's own table. The memo also holds the
-class graph of each adjacency matrix decided (see ``graphs``). It is set by
-``_set_run_memo`` and is None outside a run. A graph holds no labels and
-no ring, so a memoised Gamma(R/I) keeps nothing of R/I but its matrix.
-``verify`` reads no element name, and names are built only on first read
-(see ``rings``).
+Gamma(R/I) itself, von Neumann regularity of R/I and |Z(R/I)|. Those read
+only zero, one and the multiplication table of R/I, and the entries are
+keyed on exactly these, so they assume nothing about the ring. Gamma_I(R)
+is always built from R's own table. The memo also holds the class graph of
+each adjacency matrix decided (see ``graphs``). It is set by
+``_set_run_memo`` and is None outside a run. A graph holds no name, no
+labels and no ring, so a memoised Gamma(R/I) keeps nothing of R/I but its
+matrix. ``verify`` reads no element name, and names are built only on
+first read (see ``rings``).
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ def _set_run_memo(fresh: bool) -> None:
 
 
 def _quotient_side(q: FiniteRing) -> tuple[SimpleGraph, bool, int]:
-    """Gamma(R/I), von Neumann regularity of R/I and |Z(R/I)|."""
+    """Gamma(R/I), von Neumann regularity of R/I and |Z(R/I)|: a function
+    of zero, one and the multiplication table of R/I alone."""
     total_quotient_ring(q)  # guard: regular elements are units
     return gamma(q), is_von_neumann_regular(q), int(np.count_nonzero(q.zero_divisor_mask))
 
@@ -119,11 +121,10 @@ def _quotient_side(q: FiniteRing) -> tuple[SimpleGraph, bool, int]:
 class PairAnalysis:
     """Everything the checks need about one (ring, proper ideal) pair.
 
-    The quotient side comes from the run memo when it holds R/I's tables.
-    On such a hit ``gq`` is the Gamma(R/I) of the first quotient with those
-    tables: equal vertices and adjacency, but that quotient's name. The
-    zero ideal skips the memo: R/(0) is R, whose facts are cached on it,
-    and keying a large R would copy its tables.
+    The quotient side comes from the run memo when it holds R/I's zero,
+    one and multiplication table. The zero ideal skips the memo: R/(0) is
+    R, whose facts are cached on it, and keying a large R would copy its
+    table.
     """
 
     __slots__ = ("ring", "ideal", "quotient", "coset_map", "gi", "gq", "verdict")
@@ -136,7 +137,7 @@ class PairAnalysis:
         if ideal.is_zero:
             gq, q_vnr, q_z = _quotient_side(q)
         else:
-            key = ("quotient", q.zero, q.one, q.add_table.tobytes(), q.mul_table.tobytes())
+            key = ("quotient", q.zero, q.one, q.mul_table.tobytes())
             gq, q_vnr, q_z = run_memo(key, lambda: _quotient_side(q))
         self.gq = gq
         gi = gamma_ideal(ring, ideal)
@@ -166,7 +167,7 @@ def analyze_pair(ring: FiniteRing, ideal: Ideal, *, _corrupt_graph: bool = False
 
 def _drop_top_vertex(graph: SimpleGraph) -> SimpleGraph:
     # fault-injection hook: deterministically corrupt adjacency data
-    return SimpleGraph(graph.vertices[:-1], graph.adj[:-1, :-1], graph.name)
+    return SimpleGraph(graph.vertices[:-1], graph.adj[:-1, :-1])
 
 
 # --- checks -----------------------------------------------------------------
@@ -401,13 +402,12 @@ class VerificationReport:
 def default_catalogue() -> list[CatalogueEntry]:
     """The stock catalogue: Z_n for 2 <= n <= 100, Z_m x Z_n for
     2 <= m, n <= 8, and every monic polynomial quotient over p in {2, 3, 5}
-    of degree <= 3 with at most 128 elements -- each with all proper ideals."""
+    of degree <= 3, so at most 5^3 = 125 elements -- each with all proper
+    ideals."""
     entries = [CatalogueEntry(f"Zn:{n}") for n in range(2, 101)]
     entries += [CatalogueEntry(f"prod(Zn:{m},Zn:{n})") for m in range(2, 9) for n in range(2, 9)]
     for p in (2, 3, 5):
         for degree in (1, 2, 3):
-            if p**degree > 128:
-                continue
             for low in itertools.product(range(p), repeat=degree):
                 coeffs = ",".join(str(c) for c in (*low, 1))
                 entries.append(CatalogueEntry(f"polyq:{p}:{coeffs}"))

@@ -227,7 +227,7 @@ def adj_from_edges(verts, edges) -> dict:
     return adj
 
 
-def graph_from_edges(vertices, edges, name: str = "") -> SimpleGraph:
+def graph_from_edges(vertices, edges) -> SimpleGraph:
     """A ``SimpleGraph`` on the vertex keys ``vertices`` with the undirected
     ``edges`` given as key pairs. A self-loop or an edge on an unknown key
     raises ValueError."""
@@ -240,7 +240,7 @@ def graph_from_edges(vertices, edges, name: str = "") -> SimpleGraph:
         if a not in pos or b not in pos:
             raise ValueError(f"edge ({a},{b}) uses an unknown vertex")
         adj[pos[a], pos[b]] = adj[pos[b], pos[a]] = True
-    return SimpleGraph(vs, adj, name)
+    return SimpleGraph(vs, adj)
 
 
 def edge_keys(g: SimpleGraph) -> list[tuple[int, int]]:

@@ -169,7 +169,7 @@ def test_prime_ideal_gives_empty_graph():
 
 
 def test_complete_graph_k3_has_no_orthogonal_pairs():
-    g = graph_from_edges([0, 1, 2], [(0, 1), (1, 2), (0, 2)], name="K3")
+    g = graph_from_edges([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
     assert g.is_complete() == (True, 3)
     assert not g.orth.any()
     assert not g.is_complemented()
@@ -204,14 +204,15 @@ def test_predicates_match_naive_oracle():
         for ideal in all_ideals(r):
             if not ideal.is_proper:
                 continue
+            pair = (entry.spec, ideal.generators)
             for g in (gamma_ideal(r, ideal), gamma(quotient_ring(r, ideal)[0])):
                 adj = adj_from_edges(g.vertices, edge_keys(g))
-                assert g.is_complemented() == graph_complemented(adj), g.name
-                assert g.is_uniquely_complemented() == graph_uniquely_complemented(adj), g.name
-                assert np.array_equal(g.orth, _relation_matrix(g, adj, graph_orthogonal)), g.name
+                assert g.is_complemented() == graph_complemented(adj), pair
+                assert g.is_uniquely_complemented() == graph_uniquely_complemented(adj), pair
+                assert np.array_equal(g.orth, _relation_matrix(g, adj, graph_orthogonal)), pair
                 # similar vertices are exactly those with equal adjacency rows
                 equal_rows = (g.adj[:, None, :] == g.adj[None, :, :]).all(axis=2)
-                assert np.array_equal(equal_rows, _relation_matrix(g, adj, graph_similar)), g.name
+                assert np.array_equal(equal_rows, _relation_matrix(g, adj, graph_similar)), pair
                 graphs += 1
     assert graphs == 2520
 
@@ -262,8 +263,9 @@ def test_dot_export_is_deterministic():
         '  "2" -- "6";\n'
         "}\n"
     )
-    assert g.to_dot(r.element_names) == expected
-    assert g.to_dot(r.element_names) == gamma_ideal(r, generate_ideal(r, [4])).to_dot(r.element_names)
+    title = "Gamma_{4}(Zn:8)"
+    assert g.to_dot(r.element_names, title) == expected
+    assert g.to_dot(r.element_names, title) == gamma_ideal(r, generate_ideal(r, [4])).to_dot(r.element_names, title)
 
 
 def test_json_export_shape():
@@ -302,13 +304,13 @@ def _pair_graphs(entries):
 
 def _assert_orth_matches_dense(g):
     dense = dense_orth(g.adj)
-    assert g.is_complemented() == bool(dense.any(axis=1).all()), g.name
-    assert g.is_uniquely_complemented() == dense_uniquely_complemented(g.adj), g.name
-    assert np.array_equal(g.orth, dense), g.name
-    assert np.array_equal(g.orth, per_class_orth(g.adj)), g.name
+    assert g.is_complemented() == bool(dense.any(axis=1).all())
+    assert g.is_uniquely_complemented() == dense_uniquely_complemented(g.adj)
+    assert np.array_equal(g.orth, dense)
+    assert np.array_equal(g.orth, per_class_orth(g.adj))
     first, labels, _ = g._classes
     expected_first, expected_labels = unpacked_row_classes(g.adj)
-    assert np.array_equal(first, expected_first) and np.array_equal(labels, expected_labels), g.name
+    assert np.array_equal(first, expected_first) and np.array_equal(labels, expected_labels)
 
 
 def test_orth_matches_dense_product_on_scale_catalogue():
@@ -346,7 +348,7 @@ def _planted_graph(classes, seed):
     rng = np.random.default_rng(seed)
     members = np.repeat(np.arange(len(classes)), rng.integers(1, 4, len(classes)))
     rng.shuffle(members)
-    return SimpleGraph(range(len(members)), classes[np.ix_(members, members)], "planted")
+    return SimpleGraph(range(len(members)), classes[np.ix_(members, members)])
 
 
 def _random_class_graph(count, density, seed):
@@ -415,28 +417,28 @@ def test_orth_matches_dense_product_on_default_catalogue():
 
 def _complete_bipartite(m, n):
     edges = [(a, m + b) for a in range(m) for b in range(n)]
-    return graph_from_edges(range(m + n), edges, name=f"K{m},{n}")
+    return graph_from_edges(range(m + n), edges)
 
 
 @pytest.mark.parametrize(
     "g",
     [
-        graph_from_edges([], [], name="empty"),
-        graph_from_edges([0], [], name="K1"),
-        graph_from_edges(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)], name="P5"),
-        _complete_bipartite(1, 1),
-        _complete_bipartite(2, 3),
-        _complete_bipartite(4, 4),
+        pytest.param(graph_from_edges([], []), id="empty"),
+        pytest.param(graph_from_edges([0], []), id="K1"),
+        pytest.param(graph_from_edges(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)]), id="P5"),
+        pytest.param(_complete_bipartite(1, 1), id="K1,1"),
+        pytest.param(_complete_bipartite(2, 3), id="K2,3"),
+        pytest.param(_complete_bipartite(4, 4), id="K4,4"),
         # widths whose packed rows are padded to whole 64-bit words
-        _complete_bipartite(31, 34),
-        graph_from_edges(range(70), [(i, i + 1) for i in range(69)], name="P70"),
-        graph_from_edges(range(130), [(i, (i + 1) % 130) for i in range(130)], name="C130"),
+        pytest.param(_complete_bipartite(31, 34), id="K31,34"),
+        pytest.param(graph_from_edges(range(70), [(i, i + 1) for i in range(69)]), id="P70"),
+        pytest.param(graph_from_edges(range(130), [(i, (i + 1) % 130) for i in range(130)]), id="C130"),
         # complements 1 and 2 of vertex 0 have equal orth rows, unequal adj rows
-        graph_from_edges(
-            range(7), [(0, 1), (0, 2), (1, 3), (1, 4), (3, 4), (3, 5), (4, 6)], name="equal-orth-rows",
+        pytest.param(
+            graph_from_edges(range(7), [(0, 1), (0, 2), (1, 3), (1, 4), (3, 4), (3, 5), (4, 6)]),
+            id="equal-orth-rows",
         ),
     ],
-    ids=lambda g: g.name,
 )
 def test_orth_matches_dense_product_on_small_graphs(g):
     _assert_orth_matches_dense(g)
@@ -445,44 +447,44 @@ def test_orth_matches_dense_product_on_small_graphs(g):
 def test_graph_rejects_adjacency_that_is_not_square_symmetric_and_loop_free():
     adj = np.zeros((3, 3), dtype=bool)
     adj[0, 1] = adj[1, 0] = True
-    SimpleGraph(range(3), adj, "ok")
+    SimpleGraph(range(3), adj)
     with pytest.raises(ValueError, match="shape"):
-        SimpleGraph(range(3), adj[:, :2], "not square")
+        SimpleGraph(range(3), adj[:, :2])  # not square
     with pytest.raises(ValueError, match="shape"):
-        SimpleGraph(range(2), adj, "more rows than vertices")
+        SimpleGraph(range(2), adj)  # more rows than vertices
     asymmetric = adj.copy()
     asymmetric[1, 2] = True
     with pytest.raises(ValueError, match="symmetric"):
-        SimpleGraph(range(3), asymmetric, "asymmetric")
+        SimpleGraph(range(3), asymmetric)
     # symmetry is checked in row blocks of 218 rows at V = 300: the only
     # asymmetric cell, (250, 280), lies in the second block
     assert [b.start for b in row_blocks(300, 300)] == [0, 218]
     big = np.zeros((300, 300), dtype=bool)
     big[10, 20] = big[20, 10] = big[250, 260] = big[260, 250] = True
-    SimpleGraph(range(300), big.copy(), "ok")
+    SimpleGraph(range(300), big.copy())
     big[250, 280] = True
     with pytest.raises(ValueError, match="symmetric"):
-        SimpleGraph(range(300), big, "asymmetric in the second block")
+        SimpleGraph(range(300), big)
     looped = adj.copy()
     looped[2, 2] = True
     with pytest.raises(ValueError, match="loop"):
-        SimpleGraph(range(3), looped, "looped")
+        SimpleGraph(range(3), looped)
     # the keys must be strictly ascending: neither out of order nor repeated
     with pytest.raises(ValueError, match="strictly ascending"):
-        SimpleGraph([3, 1], adj[:2, :2], "descending keys")
+        SimpleGraph([3, 1], adj[:2, :2])
     with pytest.raises(ValueError, match="strictly ascending"):
-        SimpleGraph([1, 1], adj[:2, :2], "repeated key")
+        SimpleGraph([1, 1], adj[:2, :2])
 
 
 def test_graph_leaves_the_callers_adjacency_array_writeable():
     adj = np.zeros((3, 3), dtype=bool)
     adj[0, 1] = adj[1, 0] = True
-    g = SimpleGraph(range(3), adj, "P2 and an isolated vertex")
+    g = SimpleGraph(range(3), adj)  # P2 and an isolated vertex
     assert adj.flags.writeable and not g.adj.flags.writeable
     adj[0, 2] = adj[2, 0] = True  # the caller's matrix is now P3
     assert g.edges() == [(0, 1)]
     assert not g.is_complemented()  # first decided after the write: 2 is isolated
-    assert SimpleGraph(range(3), adj, "P3").is_uniquely_complemented()
+    assert SimpleGraph(range(3), adj).is_uniquely_complemented()
 
 
 def test_path_and_complete_bipartite_classes():
@@ -500,7 +502,7 @@ def test_orth_after_dropping_the_top_vertex():
     # of K_{2,2} and makes 0-2 orthogonal, so nothing of the parent's classes
     # or products carries over
     edges = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4)]
-    g = graph_from_edges(range(5), edges, name="twins-at-top")
+    g = graph_from_edges(range(5), edges)
     assert len(g._classes[0]) == 5
     assert not orthogonal(g, 0, 2)
     _assert_orth_matches_dense(g)

@@ -1,11 +1,14 @@
 """Ideal generation, enumeration, radicals, primality, quotients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from zdglab import (
     CapExceededError,
     ImproperIdealError,
+    Ideal,
     InvalidElementError,
     all_ideals,
     build_ring,
@@ -61,6 +64,29 @@ def test_generate_ideal_multiple_generators():
 def test_generate_ideal_rejects_bad_index():
     with pytest.raises(InvalidElementError):
         generate_ideal(build_zn(6), [6])
+
+
+def test_ideal_rejects_a_mask_of_the_wrong_shape_or_without_zero():
+    r = build_zn(6)
+    with pytest.raises(InvalidElementError, match=r"must have shape \(6,\), got \(5,\)"):
+        Ideal(r, np.ones(5, dtype=bool), ())
+    without_zero = np.arange(6) == 3
+    with pytest.raises(InvalidElementError, match="must contain zero"):
+        Ideal(r, without_zero, (3,))
+
+
+def test_all_ideals_holds_no_table_sized_temporary():
+    # the principal-mask matrix is scattered one row block at a time: its
+    # 16 MiB and small blocks, not an order^2 intp index (128 MiB)
+    r = build_zn(4096)
+    tracemalloc.start()
+    try:
+        ideals = all_ideals(r, max_order=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ideals) == 13  # the divisors of 2^12
+    assert peak < (r.add_table.nbytes + r.mul_table.nbytes) / 2
 
 
 def test_all_ideals_zn12():

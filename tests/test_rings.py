@@ -16,6 +16,7 @@ import sympy
 from zdglab import (
     CapExceededError,
     FiniteRing,
+    InvalidElementError,
     all_ideals,
     InvalidModulusError,
     InvalidOrderError,
@@ -163,6 +164,8 @@ def test_poly_quotient_names_degree_two_over_z3():
 def test_poly_quotient_validation():
     with pytest.raises(InvalidModulusError):
         build_poly_quotient(4, [0, 1])
+    with pytest.raises(InvalidModulusError, match="must be prime, got 9"):
+        build_poly_quotient(9, [0, 1])  # an odd composite
     with pytest.raises(InvalidPolynomialError):
         build_poly_quotient(2, [1])  # degree 0
     with pytest.raises(InvalidPolynomialError):
@@ -373,6 +376,28 @@ def test_constructor_rejects_out_of_range_entries_of_signed_and_unsigned_tables(
     for add, mul in ((negative, base.mul_table), (base.add_table, negative), (too_large, base.mul_table), (base.add_table, too_large)):
         with pytest.raises(RingConsistencyError, match="^table entries must be element indices"):
             FiniteRing(add, mul, base.element_names, "bad:Zn:300", zero=0, one=1)
+
+
+def test_constructor_rejects_bad_orders_shapes_and_identities():
+    z2, z3 = build_zn(2), build_zn(3)
+    names = ["0", "1"]
+    with pytest.raises(InvalidOrderError, match="at least two elements"):
+        FiniteRing([[0]], [[0]], ["0"], "one element", zero=0, one=0)
+    with pytest.raises(RingConsistencyError, match="square and equally sized"):
+        FiniteRing(z2.add_table, z3.mul_table, names, "unequal tables", zero=0, one=1)
+    with pytest.raises(RingConsistencyError, match="square and equally sized"):
+        FiniteRing(z3.add_table[:2], z3.mul_table[:2], names, "not square", zero=0, one=1)
+    for zero, one in ((2, 1), (0, 2), (-1, 1)):
+        with pytest.raises(InvalidElementError, match="zero/one must be element indices"):
+            FiniteRing(z2.add_table, z2.mul_table, names, "out of range", zero=zero, one=one)
+    with pytest.raises(RingConsistencyError, match="zero and one coincide"):
+        FiniteRing(z2.add_table, z2.mul_table, names, "zero ring", zero=0, one=0)
+
+
+def test_is_prime_rejects_one_and_odd_composites():
+    # 9, 25 and 49 need the trial divisor d with d * d == n
+    assert [n for n in range(1, 200) if rings._is_prime(n)] == list(sympy.primerange(1, 200))
+    assert not any(rings._is_prime(n) for n in (1, 9, 15, 25, 49, 91, 121, 169))
 
 
 def _zn_rows(n):

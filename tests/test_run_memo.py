@@ -2,10 +2,10 @@
 computed afresh, and what it keeps.
 
 The memo holds two kinds of entry: the quotient side of a pair, keyed on
-the exact tables of R/I, and the class graph of an adjacency matrix, keyed
-on the exact matrix. That each run starts a new memo and that nothing
-outside a run keeps one is tested in ``test_class_memo`` and
-``test_quotient_memo``.
+the zero, one and exact multiplication table of R/I, and the class graph
+of an adjacency matrix, keyed on the exact matrix. That each run starts a
+new memo and that nothing outside a run keeps one is tested in
+``test_class_memo`` and ``test_quotient_memo``.
 """
 
 import contextlib
@@ -17,6 +17,7 @@ import numpy as np
 
 from zdglab import (
     CatalogueEntry,
+    FiniteRing,
     SimpleGraph,
     all_ideals,
     analyze_pair,
@@ -41,6 +42,10 @@ SCALE_CATALOGUE = Path(__file__).resolve().parents[1] / "perfbench" / "scale.cat
 
 def _scale_entries():
     return parse_catalogue_text(SCALE_CATALOGUE.read_text(encoding="utf-8"))
+
+
+def _quotient_key(q):
+    return ("quotient", q.zero, q.one, q.mul_table.tobytes())
 
 
 def _entries_of(memo, kind):
@@ -81,7 +86,7 @@ def _assert_verdicts_match_oracle(report):
 
 def _assert_memo_shapes(memo):
     for key, (gq, vnr, z_count) in _entries_of(memo, "quotient").items():
-        assert [type(k) for k in key] == [str, int, int, bytes, bytes]
+        assert [type(k) for k in key] == [str, int, int, bytes]
         assert isinstance(gq, SimpleGraph) and type(vnr) is bool and type(z_count) is int
     for key, (first, labels, lone) in _entries_of(memo, "classes").items():
         assert [type(k) for k in key] == [str, int, bytes]
@@ -96,9 +101,14 @@ def test_memoised_verdicts_match_the_unmemoised_oracle_on_the_default_catalogue(
     memo = memos[-1]
     assert all(m is memo for m in memos)
     nonzero_pairs = sum(len(v.ideal_members) > 1 for v in report.verdicts)
-    # the 904 pairs with a nonzero ideal have 120 distinct quotients
-    assert (nonzero_pairs, len(_entries_of(memo, "quotient"))) == (904, 120)
+    # the 904 pairs with a nonzero ideal have 119 distinct quotient keys
+    assert (nonzero_pairs, len(_entries_of(memo, "quotient"))) == (904, 119)
     _assert_memo_shapes(memo)
+    # Z_8/(4) and F_2[x]/(x^3)/(x^2), that is Z_4 and F_2[x]/(x^2), share a
+    # multiplication table on 0..3 but not an addition table: one entry
+    z4, f2 = (build_ring(spec) for spec in ("quot(Zn:8;4)", "quot(polyq:2:0,0,0,1;4)"))
+    assert not np.array_equal(z4.add_table, f2.add_table)
+    assert _quotient_key(z4) == _quotient_key(f2) and _quotient_key(z4) in memo
 
 
 def test_memoised_verdicts_match_the_unmemoised_oracle_on_the_scale_catalogue():
@@ -131,9 +141,9 @@ def _assert_classes_match_fresh(graphs):
         memoised = [(g.is_complemented(), g.is_uniquely_complemented(), g.orth) for g in graphs]
     assert rings._run_memo is None
     for g, (complemented, unique, orth) in zip(graphs, memoised):
-        fresh = SimpleGraph(g.vertices, g.adj, g.name)
-        assert (complemented, unique) == (fresh.is_complemented(), fresh.is_uniquely_complemented()), g.name
-        assert np.array_equal(orth, fresh.orth), g.name
+        fresh = SimpleGraph(g.vertices, g.adj)
+        assert (complemented, unique) == (fresh.is_complemented(), fresh.is_uniquely_complemented())
+        assert np.array_equal(orth, fresh.orth)
     return memo
 
 
@@ -171,6 +181,22 @@ def test_the_empty_graph_is_decided_once_per_run():
 # --- what a hit gives --------------------------------------------------------
 
 
+def test_the_quotient_side_reads_no_addition_table():
+    # Z_60/(12) is Z_12, and a copy of it whose addition table has every row
+    # but zero's rotated has the same key, so it must have the same side
+    r60 = build_zn(60)
+    q, _ = quotient_ring(r60, generate_ideal(r60, [12]))
+    add = q.add_table.copy()
+    others = np.arange(q.order) != q.zero
+    add[others] = np.roll(add[others], 1, axis=1)
+    forged = FiniteRing(add, q.mul_table, [str(x) for x in range(q.order)], "forged", zero=q.zero, one=q.one)
+    assert not np.array_equal(forged.add_table, q.add_table) and _quotient_key(forged) == _quotient_key(q)
+    (g, vnr, z_count), (fg, f_vnr, f_z_count) = verifier._quotient_side(q), verifier._quotient_side(forged)
+    assert g.vertices == fg.vertices == (2, 3, 4, 6, 8, 9, 10)
+    assert np.array_equal(g.adj, fg.adj)
+    assert (vnr, z_count) == (f_vnr, f_z_count) == (False, 8)
+
+
 def test_a_hit_returns_the_quotient_graph_of_the_miss():
     # Z_12/(2) and Z_8/(2) have the same tables: the second pair is a hit
     z12, z8 = build_zn(12), build_zn(8)
@@ -201,7 +227,7 @@ def _without_edge(analysis, i, j):
     g = analysis.gi
     adj = g.adj.copy()
     adj[i, j] = adj[j, i] = False
-    analysis.gi = SimpleGraph(g.vertices, adj, g.name)
+    analysis.gi = SimpleGraph(g.vertices, adj)
     return analysis
 
 

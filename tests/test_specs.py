@@ -68,6 +68,7 @@ def test_parse_errors_carry_positions():
         ("Zn:1", 3, "at least 2"),
         ("Zn:x", 3, "integer"),
         ("polyq:4:1,1", 6, "prime"),
+        ("polyq:9:0,1", 6, "prime"),  # an odd composite
         ("polyq:2:1,2", 10, "out of range"),
         ("polyq:2:1", 8, "degree"),
         ("polyq:2:1,0", 10, "monic"),

@@ -71,8 +71,8 @@ def _pairs(entries):
 
 def _assert_graph(g, expected):
     vertices, adj = expected
-    assert g.vertices == vertices, g.name
-    assert np.array_equal(g.adj, adj), g.name
+    assert g.vertices == vertices
+    assert np.array_equal(g.adj, adj)
 
 
 def _assert_ring_facts(r):

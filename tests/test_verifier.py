@@ -112,6 +112,48 @@ def test_nonradical_not_complemented_witness():
     )
 
 
+def forged(spec, gens, **fields):
+    """The pair with the given verdict fields replaced."""
+    a = pair(spec, gens)
+    a.verdict = dataclasses.replace(a.verdict, **fields)
+    return a
+
+
+def test_nonradical_complemented_iff_k2_witness():
+    # Gamma_{4}(Z_16) is K^4: a forged complemented verdict is not K^2
+    assert check_nonradical_k2(forged("Zn:16", [4], gi_complemented=True)) == (
+        True, {"gi_complemented": True, "complete": True, "gi_vertex_count": 4}
+    )
+
+
+def test_complemented_transfer_witness():
+    # Gamma_{6}(Z_12) is complemented over 3 quotient vertices, yet the
+    # forged Gamma(R/I) is not
+    assert check_complemented_transfer(forged("Zn:12", [6], quotient_graph_complemented=False)) == (
+        True,
+        {
+            "gi_complemented": True,
+            "quotient_vertex_count": 3,
+            "quotient_graph_complemented": False,
+            "ideal_is_radical": True,
+        },
+    )
+
+
+def test_classification_cases_not_mutually_exclusive_witness():
+    # (4) in Z_8 is case 1; forged radical with Gamma(R/I) complemented, it
+    # is case 2 as well
+    a = forged("Zn:8", [4], ideal_is_radical=True, quotient_graph_complemented=True)
+    assert check_classification_cases(a) == (
+        True, {"case1": True, "case2": True, "reason": "cases not mutually exclusive"}
+    )
+
+
+def test_complemented_iff_uniquely_complemented_witness():
+    a = forged("Zn:12", [6], gi_uniquely_complemented=False)
+    assert check_complemented_iff_uc(a) == (True, {"gi_complemented": True, "gi_uniquely_complemented": False})
+
+
 def test_check_k1_inflation():
     assert passes(check_k1_inflation, pair("Zn:16", [4]))
     assert passes(check_k1_inflation, pair("Zn:8", [4]))
@@ -177,14 +219,14 @@ def with_gi_edges(analysis, edges):
     for a, b in edges:
         i, j = g.vertices.index(a), g.vertices.index(b)
         adj[i, j] = adj[j, i] = True
-    analysis.gi = SimpleGraph(g.vertices, adj, g.name)
+    analysis.gi = SimpleGraph(g.vertices, adj)
     return analysis
 
 
 def without_vertex(graph, v):
     """``graph`` rebuilt without the vertex key ``v``."""
     keep = [i for i, key in enumerate(graph.vertices) if key != v]
-    return SimpleGraph([graph.vertices[i] for i in keep], graph.adj[np.ix_(keep, keep)], graph.name)
+    return SimpleGraph([graph.vertices[i] for i in keep], graph.adj[np.ix_(keep, keep)])
 
 
 def with_edge_toggled(analysis, a, b):
