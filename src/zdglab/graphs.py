@@ -44,9 +44,10 @@ takes the graph's title too; ``verify`` calls neither.
 
 ``gamma_ideal`` and ``gamma`` share one builder. Gamma_I(R) takes its
 vertices from the ideal's cached ``Ideal.vertex_mask`` and Gamma(R) from
-the ring's cached zero-divisor mask; each then gathers only the V x V block
-of R's own multiplication table for its adjacency, so no order x order
-product mask is built.
+the ring's cached zero-divisor mask; each then reads only the V x V block
+of R's own multiplication table for its adjacency and tests it with
+``rings.membership``, a compare with zero for Gamma(R) and the zero ideal,
+so no order x order product mask is built.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import numpy as np
 
 from .errors import ImproperIdealError
 from .ideals import Ideal
-from .rings import FiniteRing, packed_words, row_blocks, row_classes, run_memo
+from .rings import FiniteRing, membership, packed_words, row_blocks, row_classes, run_memo
 
 
 def _dot_quote(s: str) -> str:
@@ -215,11 +216,13 @@ def _ideal_graph(r: FiniteRing, in_i: np.ndarray, vertices: np.ndarray) -> Simpl
     """The graph on the vertex mask ``vertices`` in which distinct x and y
     are adjacent when x*y lies in the subset ``in_i``. Only the V x V block
     of ``mul_table`` at the vertices is read: in row blocks, each the
-    vertices' rows taken at the vertices' columns and cast to intp."""
+    vertices' rows taken at the vertices' columns and tested by
+    ``rings.membership``."""
     varr = np.flatnonzero(vertices)
+    member = membership(in_i)
     adj = np.empty((len(varr), len(varr)), dtype=bool)
     for block in row_blocks(len(varr), len(varr)):
-        adj[block] = in_i[r.mul_table[varr[block]].take(varr, axis=1).astype(np.intp)]
+        adj[block] = member(r.mul_table[varr[block]].take(varr, axis=1))
     np.fill_diagonal(adj, False)
     adj.setflags(write=False)
     return SimpleGraph(varr.tolist(), adj)

@@ -3,7 +3,8 @@
 An ideal is its membership mask, and ``Ideal`` is the only subset of a ring
 kept as one. Two facts are cached on it as length-order masks.
 ``Ideal.vertex_mask``, the vertex set of Gamma_I(R), is one scan of the
-pairs x <= y of the multiplication table in row blocks; ``is_prime`` reads
+pairs x <= y of the multiplication table in row blocks, tested by
+``rings.membership`` (a compare at the zero ideal); ``is_prime`` reads
 it, since Gamma_I(R) is empty exactly when I is prime, and
 ``graphs.gamma_ideal`` builds its graph on it. ``Ideal.radical_mask`` is
 one gather through the ring's cached ``power_array``; ``radical`` and
@@ -22,8 +23,9 @@ h with Rh = Rg lies in K outside J), so only least generators are tried.
 ``quotient_ring`` names each coset by its least member, so x represents
 x + I exactly when x is that member. A running count of the representatives
 numbers the cosets, with no sort or search, and both quotient tables are
-gathered through it in the quotient's table dtype. Its element -> coset map
-is the only bridge from R to R/I in ``verify``.
+gathered through it in row blocks into tables of the quotient's dtype, so
+building R/I holds little more than them. Its element -> coset map is the
+only bridge from R to R/I in ``verify``.
 
 The vertex scan and ``quotient_ring``, which reads each coset x + I off
 rows m of the addition table as m + x, rely on commutative tables: a ring
@@ -40,7 +42,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapExceededError, ImproperIdealError, InvalidElementError
-from .rings import FiniteRing, _table_dtype, packed_words, row_blocks, row_classes
+from .rings import FiniteRing, _table_dtype, membership, packed_words, row_blocks, row_classes
 
 DEFAULT_IDEAL_ENUMERATION_CAP = 256
 
@@ -85,20 +87,21 @@ class Ideal:
         x*y = y*x by commutativity of the table, a ring axiom that
         ``rings.validate_ring_axioms`` checks, so only the pairs x <= y
         outside I are scanned. The x outside I are taken in row blocks; a
-        block starting at x0 gathers ``mul_table[xs, x0:]`` through the
-        membership mask (cast to intp) and keeps the columns y outside I.
+        block starting at x0 tests ``mul_table[xs, x0:]`` for membership in
+        I (``rings.membership``) and keeps the columns y outside I.
         A row holding a product in I marks its x, and a column holding one
         marks its y. No order x order array is built, and on a ring of
         many blocks the gather reads about half the table.
         """
         r = self.ring
+        in_i = membership(self.mask)
         outside = ~self.mask
         rows = np.flatnonzero(outside)
         hit = np.zeros(r.order, dtype=bool)
         for block in row_blocks(len(rows), r.order):
             xs = rows[block]
             x0 = xs[0]
-            pairs = self.mask[r.mul_table[xs, x0:].astype(np.intp)] & outside[x0:]
+            pairs = in_i(r.mul_table[xs, x0:]) & outside[x0:]
             hit[xs] |= pairs.any(axis=1)
             hit[x0:] |= pairs.any(axis=0)
         hit.setflags(write=False)
@@ -242,9 +245,10 @@ def quotient_ring(r: FiniteRing, i: Ideal) -> tuple[FiniteRing, np.ndarray]:
     docstring), plus the element -> coset map in intp.
 
     The quotient by the zero ideal is the ring itself (identity map). The
-    tables come out read-only in ``np.min_scalar_type(q.order - 1)``, which
-    ``FiniteRing`` keeps without a copy. Coset x+I is named "x+I" after its
-    least member x, on first read.
+    tables are filled in row blocks through the coset map, read-only in
+    ``np.min_scalar_type(q.order - 1)``, which ``FiniteRing`` keeps without
+    a copy. Coset x+I is named "x+I" after its least member x, on first
+    read.
     """
     if not i.is_proper:
         raise ImproperIdealError("cannot form the quotient by the whole ring")
@@ -259,10 +263,12 @@ def quotient_ring(r: FiniteRing, i: Ideal) -> tuple[FiniteRing, np.ndarray]:
     is_rep = reps == np.arange(r.order)
     rep_values = np.flatnonzero(is_rep)
     cmap = (is_rep.cumsum() - 1)[reps]
-    narrow = cmap.astype(_table_dtype(len(rep_values)))
-    block = np.ix_(rep_values, rep_values)
-    add_q = narrow[r.add_table[block]]
-    mul_q = narrow[r.mul_table[block]]
+    n = len(rep_values)
+    narrow = cmap.astype(_table_dtype(n))
+    add_q, mul_q = (np.empty((n, n), dtype=narrow.dtype) for _ in range(2))
+    for rows in row_blocks(n, r.order):
+        for table, out in ((r.add_table, add_q), (r.mul_table, mul_q)):
+            out[rows] = narrow[table.take(rep_values[rows], axis=0).take(rep_values, axis=1).astype(np.intp)]
     add_q.setflags(write=False)
     mul_q.setflags(write=False)
     base_names = r._name_source

@@ -15,7 +15,8 @@ one scan of ``mul_table`` in row blocks of ``_BLOCK_CELLS`` cells, and
 order x order temporary is built for them. ``zero_divisors`` and
 ``nilpotents`` (as ascending member tuples), ``total_quotient_ring`` and
 ``ideals.Ideal.radical_mask`` read them. What recurs within a ``verify``
-run but belongs to no one object is kept in ``run_memo``.
+run but belongs to no one object is kept in ``run_memo``. Which table
+cells lie in a subset is tested by ``membership`` in every scan.
 
 ``is_von_neumann_regular`` tests x against row x*x of ``mul_table``, which
 is exact on a commutative and associative table. Those are ring axioms,
@@ -261,10 +262,12 @@ def _cyclic_table(n: int, dtype: np.dtype) -> np.ndarray:
 def build_zn(n: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
     """The integers modulo ``n``, with element ``i`` named ``"i"``.
 
-    Products i*j are formed in row blocks of the narrowest unsigned dtype
-    that holds (n-1)^2, reduced mod n as p - (p // n) * n and stored into
-    the table: numpy divides by a scalar through a precomputed
-    multiply-and-shift, which it does not do for ``%``.
+    The first row block, rows 0..s-1, holds products p = i*j in the
+    narrowest unsigned dtype that holds (n-1)^2, reduced as p - (p // n) * n
+    (numpy divides by a scalar through a multiply-and-shift, but not ``%``).
+    Each later row i is row i-s + row s mod n, a sum t <= 2n-2 in the
+    narrowest unsigned dtype that holds it, reduced as min(t, t - n): t - n
+    wraps around when t < n.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise InvalidOrderError(f"ring order must be an integer >= 2, got {n!r}")
@@ -272,13 +275,17 @@ def build_zn(n: int, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
     dtype = _table_dtype(n)
     add = _cyclic_table(n, dtype)
     mul = np.empty((n, n), dtype=dtype)
+    first, *later = row_blocks(n, n)
     wide = np.min_scalar_type((n - 1) ** 2)
     idx = np.arange(n, dtype=wide)
-    modulus = wide.type(n)
-    for rows in row_blocks(n, n):
-        block = np.multiply.outer(idx[rows], idx)
-        block -= block // modulus * modulus
-        mul[rows] = block
+    block = np.multiply.outer(idx[first], idx)
+    block -= block // wide.type(n) * wide.type(n)
+    mul[first] = block
+    s = first.stop
+    step = (np.arange(n, dtype=np.intp) * s % n).astype(np.min_scalar_type(2 * n - 2))  # row s
+    for rows in later:
+        t = mul[rows.start - s : rows.stop - s] + step
+        mul[rows] = np.minimum(t, t - n)
     mul.setflags(write=False)
     return FiniteRing(add, mul, lambda: map(str, range(n)), f"Zn:{n}", zero=0, one=1)
 
@@ -390,14 +397,27 @@ def direct_product(a: FiniteRing, b: FiniteRing, *, max_order: int = DEFAULT_MAX
     return FiniteRing(add, mul, names, f"prod({a.spec},{b.spec})", zero=zero, one=one)
 
 
+def membership(mask: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The test ``cells -> mask[cells]``, exact for any subset ``mask``. A
+    one-member subset, such as the zero ideal wherever zero sits, compares
+    the cells with its member, several times faster than a gather; any
+    other is gathered with the cells cast to intp first (numpy's own cast of
+    a narrow index array makes the gather about twice as slow)."""
+    members = np.flatnonzero(mask)
+    if len(members) == 1:
+        member = int(members[0])  # a Python int keeps the cells' dtype
+        return lambda cells: cells == member
+    return lambda cells: mask[cells.astype(np.intp)]
+
+
 def table_mask(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The boolean matrix ``mask[table]``: which entries of an operation
-    table lie in the subset ``mask``. Gathered in row blocks, each cast to
-    intp first; numpy's own cast of a narrow index array makes the plain
-    gather about twice as slow."""
+    table lie in the subset ``mask``, tested by ``membership`` in row
+    blocks."""
+    member = membership(mask)
     out = np.empty(table.shape, dtype=bool)
     for rows in row_blocks(len(table), table.shape[1]):
-        out[rows] = mask[table[rows].astype(np.intp)]
+        out[rows] = member(table[rows])
     return out
 
 

@@ -14,16 +14,18 @@ Failures carry full witnesses (vertex indices, the separating alpha) so a
 counterexample can be replayed in isolation.
 
 Within one ``run_catalogue`` call each process keeps a run memo
-(``rings.run_memo``). Its quotient entries hold the quotient side of a pair:
-Gamma(R/I) itself, von Neumann regularity of R/I and |Z(R/I)|. Those read
-only zero, one and the multiplication table of R/I, and the entries are
-keyed on exactly these, so they assume nothing about the ring. Gamma_I(R)
-is always built from R's own table. The memo also holds the class graph of
-each adjacency matrix decided (see ``graphs``). It is set by
+(``rings.run_memo``). Its quotient entries hold the quotient side of a
+pair: Gamma(R/I) itself, von Neumann regularity of R/I and |Z(R/I)|. Those
+read only zero, one and the multiplication table of R/I, and the entries
+are keyed on exactly these, so they assume nothing about the ring.
+Gamma_I(R) is always built from R's own table; at the zero ideal it is also
+taken as Gamma(R/0), but only once its vertex scan agrees with the
+zero-divisor scan (see ``PairAnalysis``). The memo also holds the class
+graph of each adjacency matrix decided (see ``graphs``). It is set by
 ``_set_run_memo`` and is None outside a run. A graph holds no name, no
 labels and no ring, so a memoised Gamma(R/I) keeps nothing of R/I but its
-matrix. ``verify`` reads no element name, and names are built only on
-first read (see ``rings``).
+matrix. ``verify`` reads no element name, and names are built only on first
+read (see ``rings``).
 """
 
 from __future__ import annotations
@@ -111,11 +113,12 @@ def _set_run_memo(fresh: bool) -> None:
     rings._run_memo = {} if fresh else None
 
 
-def _quotient_side(q: FiniteRing) -> tuple[SimpleGraph, bool, int]:
-    """Gamma(R/I), von Neumann regularity of R/I and |Z(R/I)|: a function
-    of zero, one and the multiplication table of R/I alone."""
+def _quotient_side(q: FiniteRing, gamma_q: SimpleGraph | None = None) -> tuple[SimpleGraph, bool, int]:
+    """Gamma(R/I) (``gamma_q`` if given), von Neumann regularity of R/I and
+    |Z(R/I)|: a function of zero, one and the multiplication table of R/I."""
     total_quotient_ring(q)  # guard: regular elements are units
-    return gamma(q), is_von_neumann_regular(q), int(np.count_nonzero(q.zero_divisor_mask))
+    graph = gamma(q) if gamma_q is None else gamma_q
+    return graph, is_von_neumann_regular(q), int(np.count_nonzero(q.zero_divisor_mask))
 
 
 class PairAnalysis:
@@ -124,7 +127,9 @@ class PairAnalysis:
     The quotient side comes from the run memo when it holds R/I's zero,
     one and multiplication table. The zero ideal skips the memo: R/(0) is
     R, whose facts are cached on it, and keying a large R would copy its
-    table.
+    table. Gamma_0(R) serves as Gamma(R/0) once its vertices (the pair scan
+    of ``Ideal.vertex_mask``) equal the nonzero zero-divisors (R's own scan);
+    else Gamma(R/0) is built, and ``cardinality_identity`` compares the two.
     """
 
     __slots__ = ("ring", "ideal", "quotient", "coset_map", "gi", "gq", "verdict")
@@ -134,13 +139,14 @@ class PairAnalysis:
         self.ideal = ideal
         q, self.coset_map = quotient_ring(ring, ideal)
         self.quotient = q
+        gi = gamma_ideal(ring, ideal)
         if ideal.is_zero:
-            gq, q_vnr, q_z = _quotient_side(q)
+            scans_agree = np.array_equal(ideal.vertex_mask, ring.zero_divisor_mask & ~ideal.mask)
+            gq, q_vnr, q_z = _quotient_side(q, gi if scans_agree else None)
         else:
             key = ("quotient", q.zero, q.one, q.mul_table.tobytes())
             gq, q_vnr, q_z = run_memo(key, lambda: _quotient_side(q))
         self.gq = gq
-        gi = gamma_ideal(ring, ideal)
         if _corrupt_graph and gi.vertex_count:
             gi = _drop_top_vertex(gi)
         self.gi = gi

@@ -305,3 +305,18 @@ def test_element_set_size_is_counted_at_construction(monkeypatch):
 
     monkeypatch.setattr(np, "count_nonzero", recount)
     assert [len(s) for s in sets] == sizes
+
+
+def test_quotient_tables_are_gathered_in_row_blocks_into_their_own_tables():
+    # both tables of R/I are filled block by block in the quotient's dtype,
+    # so building R/I holds little more than the two tables it returns
+    r = build_zn(4096)
+    ideal = generate_ideal(r, [2048])
+    tracemalloc.start()
+    try:
+        q, _ = quotient_ring(r, ideal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.order == 2048 and q.mul_table.dtype == np.uint16
+    assert peak < 2.3 * q.mul_table.nbytes

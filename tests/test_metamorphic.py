@@ -7,10 +7,13 @@ above index 1 (``oracles.relabelled_ring``). Over the proper ideals, the
 multisets of (|I|, the verdict fields other than ``ring_spec`` and
 ``ideal_members``, each check's (applicable, failed) pair) must be equal.
 Witnesses name elements, so only whether a check failed is compared.
+The same multisets compare Z_ab with Z_a x Z_b for coprime a and b, two
+builders of one ring.
 """
 
 import dataclasses
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -65,3 +68,23 @@ def test_relabelled_zn_1024_gives_the_same_verdicts():
     rows = pair_rows(r, 1024)
     assert sum(rows.values()) == 10
     assert relabelled_rows(r, 1024) == rows
+
+
+def test_zn_of_coprime_product_gives_the_verdicts_of_the_direct_product():
+    # Z_ab is Z_a x Z_b for coprime a and b (Chinese remainder theorem), so
+    # build_zn is checked against the pair tables of direct_product on every
+    # such ring of order at most 256 (one row block each), and its row
+    # recurrence past the first block on Z_1155 = Z_33 x Z_35
+    factorizations = [(a, b) for a in range(2, 16) for b in range(a + 1, 129) if a * b <= 256 and math.gcd(a, b) == 1]
+    assert len(factorizations) == 277
+    zn_rows, mismatched = {}, []
+    for a, b in factorizations:
+        if a * b not in zn_rows:
+            zn_rows[a * b] = pair_rows(build_ring(f"Zn:{a * b}"), 256)
+        if pair_rows(build_ring(f"prod(Zn:{a},Zn:{b})"), 256) != zn_rows[a * b]:
+            mismatched.append((a, b))
+    assert mismatched == []
+    assert len(zn_rows) == 185
+    rows = pair_rows(build_ring("Zn:1155"), 1155)
+    assert sum(rows.values()) == 15
+    assert pair_rows(build_ring("prod(Zn:33,Zn:35)"), 1155) == rows

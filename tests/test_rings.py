@@ -444,6 +444,20 @@ def test_builder_tables_at_dtype_edges(spec, dtype, oracle_rows):
         assert np.array_equal(r.mul_table[rows], mul), (spec, lo)
 
 
+def test_build_zn_matches_the_int64_oracle_at_every_small_order_and_past_the_first_block():
+    # one row block up to n = 256; beyond, rows past the first block come
+    # from the row recurrence, with 218 rows a block at 300 and 16 at 4096
+    for n in [*range(2, 301), 1155, 2047, 4095, 4096]:
+        r = build_zn(n)
+        assert r.mul_table.dtype == (np.uint8 if n <= 256 else np.uint16), n
+        rows_of = _zn_rows(n)
+        for lo in range(0, n, 256):
+            rows = np.arange(lo, min(n, lo + 256))
+            add, mul = rows_of(rows)
+            assert np.array_equal(r.add_table[rows], add), (n, lo)
+            assert np.array_equal(r.mul_table[rows], mul), (n, lo)
+
+
 def test_table_mask_over_several_row_blocks():
     r = build_zn(300)  # 218 rows per block, so the last block is partial
     mask = generate_ideal(r, [6]).mask

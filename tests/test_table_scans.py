@@ -12,6 +12,7 @@ not principal.
 import dataclasses
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from zdglab import (
     total_quotient_ring,
     zero_divisors,
 )
-from zdglab import rings
+from zdglab import Ideal, graphs, rings
 from zdglab.rings import row_blocks, table_mask
 
 from oracles import (
@@ -47,6 +48,7 @@ from oracles import (
     gather_von_neumann_regular,
     loop_von_neumann_regular,
     pairwise_all_ideals,
+    relabelled_ring,
     remainder_zn_mul_table,
     scan_nilpotents,
     scan_units,
@@ -167,13 +169,48 @@ def test_pair_scan_matches_the_full_row_scan_at_every_block_size(monkeypatch, ce
 
 @pytest.mark.parametrize("n", [2, 255, 256, 257, 1155, 4096])
 def test_zn_products_by_floor_division_match_the_remainder(n):
-    # products in uint8 (n = 2), uint16 (255, 256) and uint32 (257 on);
-    # tables in uint8 up to 256 and uint16 beyond
+    # first-block products in uint8 (n = 2), uint16 (255, 256) and uint32
+    # (257 on), the later blocks' sums in uint16 (257 on); tables in uint8
+    # up to 256 and uint16 beyond
     mul = build_zn(n).mul_table
     assert np.array_equal(mul, remainder_zn_mul_table(n))
     i = np.arange(n, dtype=np.int64)
     for lo in range(0, n, 256):  # row blocks keep the int64 products small
         assert np.array_equal(mul[lo : lo + 256], np.multiply.outer(i[lo : lo + 256], i) % n), (n, lo)
+
+
+def test_membership_tests_match_the_plain_gather_for_every_kind_of_subset():
+    # zero and one moved off 0 and 1; 600 elements make 110 rows a block
+    r = relabelled_ring(build_ring("prod(Zn:4,Zn:150)"), seed=0)
+    assert r.zero > 1 and r.one > 1
+    one_only = np.arange(r.order) == r.one
+    nilpotent = int(np.flatnonzero((r.power_array == r.zero) & (np.arange(r.order) != r.zero))[0])
+    zero_ideal, ideal = generate_ideal(r, []), generate_ideal(r, [nilpotent])
+    subsets = [zero_ideal.mask, one_only, ideal.mask, np.zeros(r.order, dtype=bool)]
+    assert [int(np.count_nonzero(s)) for s in subsets] == [1, 1, 10, 0]
+    assert np.count_nonzero(ideal.vertex_mask) == 510  # (x) is not prime
+    for subset in subsets:
+        products = subset[r.mul_table.astype(np.intp)]
+        assert np.array_equal(table_mask(r.mul_table, subset), products)
+        assert np.array_equal(table_mask(r.add_table, subset), subset[r.add_table.astype(np.intp)])
+        vertices = (products & ~subset).any(axis=1) & ~subset
+        # the pair scan and the graph builder behind Ideal and gamma_ideal,
+        # run on a subset that need not be an ideal
+        scanned = Ideal.vertex_mask.func(SimpleNamespace(ring=r, mask=subset))
+        assert np.array_equal(scanned, vertices), np.flatnonzero(subset)[:3]
+        varr = np.flatnonzero(vertices)
+        adj = products[np.ix_(varr, varr)]
+        np.fill_diagonal(adj, False)
+        _assert_graph(graphs._ideal_graph(r, subset, vertices), (tuple(varr.tolist()), adj))
+    for i in (zero_ideal, ideal):
+        products = i.mask[r.mul_table.astype(np.intp)]
+        vertices = (products & ~i.mask).any(axis=1) & ~i.mask
+        assert np.array_equal(i.vertex_mask, vertices)
+        varr = np.flatnonzero(vertices)
+        adj = products[np.ix_(varr, varr)]
+        np.fill_diagonal(adj, False)
+        _assert_graph(gamma_ideal(r, i), (tuple(varr.tolist()), adj))
+    assert np.count_nonzero(zero_ideal.vertex_mask) == np.count_nonzero(r.zero_divisor_mask) - 1
 
 
 def test_containment_skip_keeps_ideals_and_generators():

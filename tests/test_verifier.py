@@ -93,6 +93,24 @@ def test_check_cardinality():
     assert passes(check_cardinality, pair("Zn:6", [3]))  # prime: 0 = |I| * 0
 
 
+def test_gamma_of_the_ring_is_shared_at_the_zero_ideal_only_when_both_vertex_scans_agree():
+    ring = build_ring("Zn:12")
+    shared = analyze_pair(ring, generate_ideal(ring, []))
+    assert shared.gq is shared.gi and shared.gi.vertices == (2, 3, 4, 6, 8, 9, 10)
+    # a vertex scan that lost 10 disagrees with the zero-divisor scan, so
+    # Gamma(R/0) is built on its own and the identity sees the difference
+    ideal = generate_ideal(ring, [])
+    wrong = ideal.vertex_mask.copy()
+    wrong[10] = False
+    vars(ideal)["vertex_mask"] = wrong
+    a = analyze_pair(ring, ideal)
+    assert a.gq is not a.gi
+    assert a.gi.vertices == (2, 3, 4, 6, 8, 9) and a.gq.vertices == shared.gq.vertices
+    assert np.array_equal(a.gq.adj, shared.gq.adj)
+    assert check_cardinality(a) == (True, {"gi_vertex_count": 6, "ideal_size": 1, "quotient_vertex_count": 7})
+    assert passes(check_cardinality, shared)
+
+
 def test_check_nonradical_not_complemented():
     assert passes(check_nonradical_not_complemented, pair("Zn:24", [8]))
     assert passes(check_nonradical_not_complemented, pair("Zn:36", [12]))
