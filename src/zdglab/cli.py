@@ -250,7 +250,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(verify, ("json", "text"), "json")
     verify.add_argument("--ideal-cap", type=int, default=DEFAULT_IDEAL_ENUMERATION_CAP, metavar="N")
     verify.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="parallel workers (0 = every processor this process may run on)")
+                        help="parallel workers, at most one per processor this process may run on"
+                             " (0 = one per such processor)")
     verify.add_argument("--quiet", action="store_true", help="suppress per-entry progress on stderr")
     verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)

@@ -30,17 +30,14 @@ partner class is unique. The vertex x vertex matrix of orthogonal pairs,
 ``SimpleGraph.orth``, is gathered from the class matrix only when a caller
 reads it.
 
-The classes and the class matrix depend on ``adj`` alone, not on the vertex
-keys. They are kept in the run memo (``rings.run_memo``), keyed on the
-exact adjacency matrix, so a matrix that recurs within a ``verify`` run
-(empty graphs among them) is decided once per process. A hit gives
-positions only, and every witness maps them through its own graph's keys.
+The classes and the class matrix are found once per graph, on first use,
+from ``adj`` alone.
 
 A graph is its vertices and adjacency alone: no name, no display labels
-and no reference to its ring, so a graph kept in the run memo cannot keep
-its ring's tables alive. ``to_dot`` and ``to_json_obj`` take the ring's
-element names and label each vertex key with its name, and ``to_dot``
-takes the graph's title too; ``verify`` calls neither.
+and no reference to its ring, so a graph kept in the verifier's quotient
+memo cannot keep its ring's tables alive. ``to_dot`` and ``to_json_obj``
+take the ring's element names and label each vertex key with its name, and
+``to_dot`` takes the graph's title too; ``verify`` calls neither.
 
 ``gamma_ideal`` and ``gamma`` share one builder. Gamma_I(R) takes its
 vertices from the ideal's cached ``Ideal.vertex_mask`` and Gamma(R) from
@@ -59,7 +56,7 @@ import numpy as np
 
 from .errors import ImproperIdealError
 from .ideals import Ideal
-from .rings import FiniteRing, membership, packed_words, row_blocks, row_classes, run_memo
+from .rings import FiniteRing, membership, packed_words, row_blocks, row_classes
 
 
 def _dot_quote(s: str) -> str:
@@ -104,7 +101,8 @@ class SimpleGraph:
     """Undirected loop-free graph: strictly ascending integer vertex keys and
     ``adj``, the read-only symmetric boolean adjacency matrix in that order.
     Ascending keys make every exported artifact byte-deterministic, and
-    distinct keys give each key one position. Immutable after construction.
+    distinct keys give each key one position. Immutable after construction,
+    and it reads no process-global state: its classes are a cached property.
     Keys that are not strictly ascending raise ``ValueError``, as does an
     ``adj`` that is not square over the vertices, not symmetric or has a
     loop: the class-graph predicates are exact only on such a matrix. A
@@ -132,19 +130,10 @@ class SimpleGraph:
 
     @cached_property
     def _classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(first, labels, lone), read-only: ``row_classes`` of ``adj``, the
-        classes of similar vertices, and ``_lone_classes`` of them, from the
-        run memo when it holds this ``adj``."""
-        words = packed_words(self.adj)
-
-        def compute():
-            first, labels = row_classes(words)
-            classes = (first, labels, _lone_classes(self.adj, first))
-            for part in classes:
-                part.setflags(write=False)
-            return classes
-
-        return run_memo(("classes", len(self.vertices), words.tobytes()), compute)
+        """(first, labels, lone): ``row_classes`` of ``adj``, the classes of
+        similar vertices, and ``_lone_classes`` of them."""
+        first, labels = row_classes(packed_words(self.adj))
+        return first, labels, _lone_classes(self.adj, first)
 
     @cached_property
     def _partners(self) -> np.ndarray:

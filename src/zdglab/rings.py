@@ -14,9 +14,9 @@ one scan of ``mul_table`` in row blocks of ``_BLOCK_CELLS`` cells, and
 ``power_array`` (x^(2^k) with 2^k >= order), read off the diagonal, so no
 order x order temporary is built for them. ``zero_divisors`` and
 ``nilpotents`` (as ascending member tuples), ``total_quotient_ring`` and
-``ideals.Ideal.radical_mask`` read them. What recurs within a ``verify``
-run but belongs to no one object is kept in ``run_memo``. Which table
-cells lie in a subset is tested by ``membership`` in every scan.
+``ideals.Ideal.radical_mask`` read them. A ring reads no process-global
+state. Which table cells lie in a subset is tested by ``membership`` in
+every scan.
 
 ``is_von_neumann_regular`` tests x against row x*x of ``mul_table``, which
 is exact on a commutative and associative table. Those are ring axioms,
@@ -90,27 +90,6 @@ def row_classes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     labels = np.empty(len(keys), dtype=np.intp)
     labels[order] = new.cumsum() - 1
     return order[new], labels
-
-
-# The per-run memo: None outside ``verifier.run_catalogue``, which gives
-# each process evaluating entries a fresh one (see ``verifier._set_run_memo``).
-# It is module state because a pool worker must keep it across the chunks it
-# is sent, and only the pool's initializer reaches the worker.
-_run_memo: dict[tuple, object] | None = None
-
-
-def run_memo(key: tuple, compute: Callable[[], object]) -> object:
-    """``compute()``, kept in the run memo under ``key`` while a run is
-    active, else computed on every call. A key holds the exact bytes its
-    value is a function of, so an entry may be shared by any caller
-    whose input has those bytes."""
-    memo = _run_memo
-    if memo is None:
-        return compute()
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = compute()
-    return value
 
 
 def _table_dtype(order: int) -> np.dtype:

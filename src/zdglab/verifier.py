@@ -13,19 +13,18 @@ hypotheses fail are counted as tested but not applicable, never as passes.
 Failures carry full witnesses (vertex indices, the separating alpha) so a
 counterexample can be replayed in isolation.
 
-Within one ``run_catalogue`` call each process keeps a run memo
-(``rings.run_memo``). Its quotient entries hold the quotient side of a
-pair: Gamma(R/I) itself, von Neumann regularity of R/I and |Z(R/I)|. Those
-read only zero, one and the multiplication table of R/I, and the entries
-are keyed on exactly these, so they assume nothing about the ring.
-Gamma_I(R) is always built from R's own table; at the zero ideal it is also
-taken as Gamma(R/0), but only once its vertex scan agrees with the
-zero-divisor scan (see ``PairAnalysis``). The memo also holds the class
-graph of each adjacency matrix decided (see ``graphs``). It is set by
-``_set_run_memo`` and is None outside a run. A graph holds no name, no
-labels and no ring, so a memoised Gamma(R/I) keeps nothing of R/I but its
-matrix. ``verify`` reads no element name, and names are built only on first
-read (see ``rings``).
+Within one ``run_catalogue`` call each process keeps a run memo, this
+module's ``_run_memo``, the only process-global state of the package. It
+holds the quotient side of a pair: Gamma(R/I) itself, von Neumann
+regularity of R/I and |Z(R/I)|. Those read only zero, one and the
+multiplication table of R/I, and an entry is keyed on exactly these, so it
+assumes nothing about the ring. Gamma_I(R) is always built from R's own
+table; at the zero ideal it is also taken as Gamma(R/0), but only once its
+vertex scan agrees with the zero-divisor scan (see ``PairAnalysis``). The
+memo is set by ``_set_run_memo`` and is None outside a run. A graph holds
+no name, no labels and no ring, so a memoised Gamma(R/I) keeps nothing of
+R/I but its matrix. ``verify`` reads no element name, and names are built
+only on first read (see ``rings``).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import json
 
 import numpy as np
 
-from . import __version__, rings
+from . import __version__
 from .errors import (
     CapExceededError,
     CatalogueError,
@@ -64,7 +63,6 @@ from .rings import (
     is_von_neumann_regular,
     packed_words,
     row_classes,
-    run_memo,
     table_mask,
     total_quotient_ring,
 )
@@ -108,9 +106,17 @@ class PropertyVerdict:
     quotient_z_count: int
 
 
+# The run memo: None outside ``run_catalogue``, which gives each process
+# evaluating entries a fresh one. It is module state because a pool worker
+# must keep it across the chunks it is sent, and only the pool's initializer
+# reaches the worker.
+_run_memo: dict[tuple[int, int, bytes], tuple[SimpleGraph, bool, int]] | None = None
+
+
 def _set_run_memo(fresh: bool) -> None:
     """Give this process an empty run memo, or none."""
-    rings._run_memo = {} if fresh else None
+    global _run_memo
+    _run_memo = {} if fresh else None
 
 
 def _quotient_side(q: FiniteRing, gamma_q: SimpleGraph | None = None) -> tuple[SimpleGraph, bool, int]:
@@ -124,8 +130,9 @@ def _quotient_side(q: FiniteRing, gamma_q: SimpleGraph | None = None) -> tuple[S
 class PairAnalysis:
     """Everything the checks need about one (ring, proper ideal) pair.
 
-    The quotient side comes from the run memo when it holds R/I's zero,
-    one and multiplication table. The zero ideal skips the memo: R/(0) is
+    The quotient side comes from the run memo when a run is active and the
+    memo holds R/I's zero, one and multiplication table; outside a run it is
+    computed afresh for every pair. The zero ideal skips the memo: R/(0) is
     R, whose facts are cached on it, and keying a large R would copy its
     table. Gamma_0(R) serves as Gamma(R/0) once its vertices (the pair scan
     of ``Ideal.vertex_mask``) equal the nonzero zero-divisors (R's own scan);
@@ -144,8 +151,11 @@ class PairAnalysis:
             scans_agree = np.array_equal(ideal.vertex_mask, ring.zero_divisor_mask & ~ideal.mask)
             gq, q_vnr, q_z = _quotient_side(q, gi if scans_agree else None)
         else:
-            key = ("quotient", q.zero, q.one, q.mul_table.tobytes())
-            gq, q_vnr, q_z = run_memo(key, lambda: _quotient_side(q))
+            memo = {} if _run_memo is None else _run_memo
+            key = (q.zero, q.one, q.mul_table.tobytes())
+            if key not in memo:
+                memo[key] = _quotient_side(q)
+            gq, q_vnr, q_z = memo[key]
         self.gq = gq
         if _corrupt_graph and gi.vertex_count:
             gi = _drop_top_vertex(gi)
@@ -493,7 +503,9 @@ def run_catalogue(
     Entries may be CatalogueEntry objects or plain spec strings. Results are
     merged in (ring_spec, ideal_members) order, so the report is byte-stable
     for any parallelism degree. A ``jobs`` below 1 means every processor
-    this process may run on.
+    this process may run on. A ``jobs`` above 1 evaluates the entries in a
+    process pool of at most that many workers, and never more workers than
+    usable processors or entries.
 
     Each process that evaluates entries starts with an empty run memo:
     this one at ``jobs`` 1, else every pool worker, through the pool's
@@ -502,15 +514,16 @@ def run_catalogue(
     gives each worker's memo related rings.
     """
     entries = [e if isinstance(e, CatalogueEntry) else CatalogueEntry(str(e)) for e in entries]
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if jobs is None or jobs < 1:
-        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        jobs = usable
     evaluate = functools.partial(
         evaluate_entry, max_order=max_order, ideal_cap=ideal_cap, inject_fault=inject_fault
     )
     results: list[dict] = []
     with contextlib.ExitStack() as stack:
         if jobs > 1 and len(entries) > 1:
-            workers = min(jobs, len(entries))
+            workers = min(jobs, usable, len(entries))
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers, initializer=_set_run_memo, initargs=(True,))
             )

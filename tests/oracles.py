@@ -36,10 +36,12 @@ Element names are built eagerly from the spec, as the builders did before
 names were made on first read. A pair's verdict comes from the quotient
 side computed afresh on every pair, which the verifier's per-run memo
 replaced. Members and membership of an element set are read off its mask,
-and a report's result for one check is looked up by name, here, since no
+a report's result for one check is looked up by name, and each check's
+truth-table cells are counted off a report's verdict rows, here, since no
 library code needs them.
 """
 
+from collections import Counter
 from math import gcd
 
 import numpy as np
@@ -91,6 +93,53 @@ def check_result(report: VerificationReport, name: str) -> CheckResult:
         if c.check_name == name:
             return c
     raise KeyError(name)
+
+
+def truth_table_cells(verdicts) -> dict[str, Counter]:
+    """For each check that states an equivalence, how many of the verdict
+    rows it applies to reach each cell of its truth table. A cell is a
+    string of T and F, one letter per side:
+
+    - ``nonradical_complemented_iff_k2``: Gamma_I(R) complemented, and K^2.
+      A graph is K^2 exactly when it has two vertices and is complemented,
+      since a complement of a vertex is adjacent to it.
+    - ``complemented_transfer``: the two sides of the statement.
+    - ``classification_cases``: case 1, and case 2.
+    - ``complemented_iff_uniquely_complemented``: Gamma_I(R) complemented,
+      and uniquely complemented.
+    - ``radical_equivalence_chain``: the five flags, Gamma_I(R)'s two,
+      Gamma(R/I)'s two and von Neumann regularity of R/I.
+
+    Applicability is read off each check's hypotheses, as in ``verifier``.
+    """
+
+    def cell(*sides):
+        return "".join("T" if side else "F" for side in sides)
+
+    names = (
+        "nonradical_complemented_iff_k2",
+        "complemented_transfer",
+        "classification_cases",
+        "complemented_iff_uniquely_complemented",
+        "radical_equivalence_chain",
+    )
+    cells = {name: Counter() for name in names}
+    for v in verdicts:
+        zero, radical, prime = len(v.ideal_members) == 1, v.ideal_is_radical, v.ideal_is_prime
+        gi_c, gq_c = v.gi_complemented, v.quotient_graph_complemented
+        if not radical and not zero:
+            cells["nonradical_complemented_iff_k2"][cell(gi_c, gi_c and v.gi_vertex_count == 2)] += 1
+        if not zero and not prime:
+            left = gi_c and v.quotient_vertex_count >= 2
+            cells["complemented_transfer"][cell(left, gq_c and radical)] += 1
+            case1 = v.quotient_z_count == 2 and len(v.ideal_members) == 2
+            cells["classification_cases"][cell(case1, gq_c and radical)] += 1
+        if radical or not zero:
+            cells["complemented_iff_uniquely_complemented"][cell(gi_c, v.gi_uniquely_complemented)] += 1
+        if radical:
+            flags = (gi_c, v.gi_uniquely_complemented, gq_c, v.quotient_graph_uniquely_complemented, v.quotient_vnr)
+            cells["radical_equivalence_chain"][cell(*flags)] += 1
+    return cells
 
 
 def zn_zero_divisors(n: int) -> set[int]:

@@ -53,7 +53,7 @@ from zdglab import (
 )
 from zdglab.cli import main
 
-from oracles import check_result, members
+from oracles import check_result, members, truth_table_cells
 
 SINGLE_THREAD_BUDGET_SECONDS = 60.0
 MIN_APPLICABLE_PAIRS = 5
@@ -70,6 +70,32 @@ CANARY_CATALOGUE = SCALE_CATALOGUE.with_name("canary.cat")
 WIDE_REPORT_SHA256 = "6932a2e0354ad61b4533b72bd6d129606863a5e52da94273227d83c219c376f1"
 WIDE_FAULT_FAILURES = 147
 WIDE_CATALOGUE = SCALE_CATALOGUE.parents[1] / "catalogues" / "wide.cat"
+# the truth-table cells each committed catalogue reaches (see
+# ``oracles.truth_table_cells``); the scale pair (Zn:512, (2)) is counted
+# twice, since the filters [2] and [6] generate one ideal
+TRUTH_TABLE_CELLS = {
+    "default": {
+        "nonradical_complemented_iff_k2": {"FF": 196, "TT": 7},
+        "complemented_transfer": {"FF": 203, "TT": 184},
+        "classification_cases": {"FF": 196, "FT": 184, "TF": 7},
+        "complemented_iff_uniquely_complemented": {"FF": 196, "TT": 953},
+        "radical_equivalence_chain": {"TTTTT": 946},
+    },
+    "scale": {
+        "nonradical_complemented_iff_k2": {"FF": 5},
+        "complemented_transfer": {"FF": 5},
+        "classification_cases": {"FF": 5},
+        "complemented_iff_uniquely_complemented": {"FF": 5, "TT": 5},
+        "radical_equivalence_chain": {"TTTTT": 5},
+    },
+    "wide": {
+        "nonradical_complemented_iff_k2": {},
+        "complemented_transfer": {"TT": 144},
+        "classification_cases": {"FT": 144},
+        "complemented_iff_uniquely_complemented": {"TT": 158},
+        "radical_equivalence_chain": {"TTTTT": 158},
+    },
+}
 
 
 def report_line(name: str, ok: bool, extra: str = "") -> None:
@@ -321,9 +347,14 @@ def test_default_report_golden_hash_at_two_jobs():
     assert sha256_of(run_catalogue(default_catalogue(), jobs=2)) == DEFAULT_REPORT_SHA256
 
 
-def test_scale_report_golden_hash():
+@pytest.fixture(scope="module")
+def scale_report():
     entries = parse_catalogue_text(SCALE_CATALOGUE.read_text(encoding="utf-8"))
-    report = run_catalogue(entries, description="perfbench/scale.cat", jobs=1)
+    return run_catalogue(entries, description="perfbench/scale.cat", jobs=1)
+
+
+def test_scale_report_golden_hash(scale_report):
+    report = scale_report
     assert report.failures_total == 0
     assert sha256_of(report) == SCALE_REPORT_SHA256
 
@@ -348,3 +379,12 @@ def test_wide_fault_report_has_failures():
     entries = parse_catalogue_text(WIDE_CATALOGUE.read_text(encoding="utf-8"))
     report = run_catalogue(entries, description="catalogues/wide.cat", jobs=1, inject_fault=True)
     assert report.failures_total == WIDE_FAULT_FAILURES
+
+
+def test_truth_table_cells_of_the_committed_reports(default_run, scale_report):
+    wide = run_catalogue(parse_catalogue_text(WIDE_CATALOGUE.read_text(encoding="utf-8")), jobs=1)
+    for name, report in (("default", default_run[0]), ("scale", scale_report), ("wide", wide)):
+        cells = truth_table_cells(report.verdicts)
+        assert {check: dict(counts) for check, counts in cells.items()} == TRUTH_TABLE_CELLS[name], name
+        for check, counts in cells.items():
+            assert sum(counts.values()) == check_result(report, check).pairs_applicable, (name, check)

@@ -26,7 +26,7 @@ from zdglab import (
     run_catalogue,
 )
 import zdglab
-from zdglab import rings
+from zdglab import verifier
 from zdglab.verifier import (
     CHECKS,
     _drop_top_vertex,
@@ -382,9 +382,10 @@ def test_parallel_matches_serial():
 @pytest.mark.parametrize(
     "entries",
     [
-        # chunks of one entry; at jobs 3 one entry per worker
+        # chunks of one entry; at three workers one entry per worker
         ["Zn:12", "prod(Zn:2,Zn:4)", "polyq:2:0,0,1"],
-        # chunks of 5 entries at jobs 2 and of 3 at jobs 3
+        # chunks of 5 entries at two workers and of 3 at three (jobs 3 starts
+        # three workers only where three processors are usable)
         default_catalogue()[::9],
     ],
     ids=["three-entries", "forty-default-entries"],
@@ -416,7 +417,7 @@ def _evaluated_in_process_at_jobs_zero() -> bool:
     """Whether a two-entry run at ``jobs=0`` evaluated its entries in this
     process: only then does it hold a run memo when progress is reported."""
     seen = []
-    run_catalogue(["Zn:8", "Zn:12"], jobs=0, progress=lambda msg: seen.append(rings._run_memo is not None))
+    run_catalogue(["Zn:8", "Zn:12"], jobs=0, progress=lambda msg: seen.append(verifier._run_memo is not None))
     return seen == [True, True]
 
 
@@ -427,6 +428,46 @@ def test_jobs_zero_counts_only_the_processors_this_process_may_run_on(monkeypatc
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _evaluated_in_process_at_jobs_zero()
+
+
+def started_pools(monkeypatch, entries, jobs):
+    """The ``max_workers`` of each pool a run at ``jobs`` starts, with a
+    stand-in pool that maps in this process and starts none."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(verifier, "_run_memo", None)  # the initializer fills it
+    run_catalogue(entries, jobs=jobs)
+    return started
+
+
+def test_the_pool_starts_no_more_workers_than_usable_processors(monkeypatch):
+    entries = ["Zn:8", "Zn:12", "Zn:30", "prod(Zn:2,Zn:4)"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert started_pools(monkeypatch, entries, 300) == [2]
+    assert started_pools(monkeypatch, entries, 0) == [2]
+    assert started_pools(monkeypatch, entries, 1) == []
+    # any jobs above 1 keeps the pool, even with one usable processor
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert started_pools(monkeypatch, entries, 2) == [1]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert started_pools(monkeypatch, entries, 300) == [4]  # one worker per entry
+    assert started_pools(monkeypatch, entries[:1], 300) == []
 
 
 def test_verdicts_sorted_by_ring_spec_then_members():
