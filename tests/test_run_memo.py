@@ -2,8 +2,9 @@
 what it keeps, and its verdicts against results computed afresh.
 
 The memo holds the quotient side of a pair, keyed on the zero, one and
-exact multiplication table of R/I. Each run starts a new memo, and nothing
-outside a run keeps one.
+exact multiplication table of R/I. Each run starts a new memo; that nothing
+outside a run keeps one is tested in ``test_class_memo`` and
+``test_quotient_memo``.
 """
 
 import contextlib
@@ -27,7 +28,6 @@ from zdglab import (
     run_catalogue,
     verifier,
 )
-from zdglab.cli import main
 from zdglab.verifier import check_orthogonality_lifting
 
 from oracles import unmemoised_verdict
@@ -116,17 +116,6 @@ def test_each_run_starts_with_an_empty_memo():
     assert verifier._run_memo is None
     assert sizes1 == sizes2 and sizes1[0] > 0
     assert all(m is memos1[0] for m in memos1) and memos1[0] is not memos2[0]
-
-
-def test_check_and_analyze_pair_outside_a_run_leave_the_memo_untouched(capsys):
-    run_catalogue(["Zn:12", "Zn:8"], jobs=1)
-    assert verifier._run_memo is None  # no memo outlives run_catalogue
-    for spec, gens in (("Zn:12", [6]), ("Zn:8", [4]), ("Zn:30", [5])):
-        ring = build_ring(spec)
-        analyze_pair(ring, generate_ideal(ring, gens))
-    assert main(["check", "Zn:12", "--ideal", "6"]) == 0
-    capsys.readouterr()
-    assert verifier._run_memo is None
 
 
 def test_the_zero_ideal_never_keeps_its_quotient_side():
